@@ -130,6 +130,13 @@ run_prop_suites() {
     return $failed
 }
 
+# The repository benchmark is its own workspace (`perfbench/`); its test
+# drives the `TopoEdm` entry points the benchmark calls, so a change to
+# them fails here and not only in the benchmark pipeline.
+run_perfbench_test() {
+    cargo test -q --release --offline --manifest-path perfbench/Cargo.toml > /dev/null
+}
+
 rustdoc_gate() {
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 }
@@ -157,6 +164,7 @@ step "chaos_sweep smoke: seeded fault/repair campaign under RSS ceiling" \
     run_chaos_smoke
 step "app_sweep smoke: closed-loop YCSB, EDM vs CXL-oE envelope (2 shards)" \
     run_app_smoke
+step "perfbench builds and passes its own test" run_perfbench_test
 step "property suites at ${PROPTEST_CASES:=1024} cases (concurrent per crate)" \
     run_prop_suites
 

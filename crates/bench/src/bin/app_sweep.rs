@@ -21,14 +21,7 @@
 //! latency and sustained rate on the identical topology.
 
 use edm_bench::app::{measure, AppScale};
-use edm_bench::row;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+use edm_bench::{env_knob, env_knob_opt, row};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -47,14 +40,12 @@ fn main() {
         AppScale::full()
     };
     let scale = AppScale {
-        tenants: env_usize("EDM_APP_TENANTS", base.tenants),
-        ops_per_tenant: env_usize("EDM_APP_OPS", base.ops_per_tenant as usize) as u64,
-        shards: env_usize("EDM_APP_SHARDS", base.shards),
+        tenants: env_knob("EDM_APP_TENANTS", base.tenants),
+        ops_per_tenant: env_knob("EDM_APP_OPS", base.ops_per_tenant),
+        shards: env_knob("EDM_APP_SHARDS", base.shards),
         ..base
     };
-    let ceiling_mb = std::env::var("EDM_RSS_CEILING_MB")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok());
+    let ceiling_mb: Option<u64> = env_knob_opt("EDM_RSS_CEILING_MB");
 
     println!(
         "app_sweep: 288-node leaf-spine, {} YCSB-B tenants x {} ops, {} shard(s), {} grid\n",

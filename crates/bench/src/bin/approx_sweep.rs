@@ -52,18 +52,11 @@ use std::time::Instant;
 use edm_approx::{
     apply_faults, simulate_batch, ApproxEngine, LinkCluster, SweepBase, SweepCache, P99_ERROR_BOUND,
 };
-use edm_bench::{par_sweep, row, scenarios};
+use edm_bench::{env_knob, par_sweep, row, scenarios};
 use edm_core::sim::Flow;
 use edm_sim::{Bandwidth, Duration, Summary, Time};
 use edm_topo::{FaultEvent, FaultKind, LeafSpine, TopoEdm, TopoEdmConfig, Topology};
 use edm_workloads::{RackAwareWorkload, SyntheticWorkload};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Minimum wall-clock of `reps` runs of `f`, in nanoseconds.
 fn min_ns<F: FnMut()>(reps: usize, mut f: F) -> u64 {
@@ -310,11 +303,11 @@ fn main() {
         .unwrap_or_else(|| std::path::PathBuf::from("."));
     std::fs::create_dir_all(&out_dir).expect("create output dir");
 
-    let flows_n = env_u64("EDM_FLOWS", 4_000) as usize;
-    let grid_flows = env_u64("EDM_GRID_FLOWS", 20_000) as usize;
-    let variants_n = env_u64("EDM_GRID_VARIANTS", 21) as usize;
-    let passes = env_u64("EDM_GRID_PASSES", 2) as usize;
-    let reps = env_u64("EDM_REPS", 3) as usize;
+    let flows_n: usize = env_knob("EDM_FLOWS", 4_000);
+    let grid_flows: usize = env_knob("EDM_GRID_FLOWS", 20_000);
+    let variants_n: usize = env_knob("EDM_GRID_VARIANTS", 21);
+    let passes: usize = env_knob("EDM_GRID_PASSES", 2);
+    let reps: usize = env_knob("EDM_REPS", 3);
     const GRID_LOADS: [f64; 5] = [0.15, 0.3, 0.5, 0.7, 0.85];
     let full_scale = grid_flows >= 20_000 && variants_n >= 21;
 

@@ -294,20 +294,14 @@ fn main() {
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| std::path::PathBuf::from("."));
     std::fs::create_dir_all(&out_dir).expect("create output dir");
-    let iters: usize = std::env::var("EDM_BENCH_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20);
+    let iters: usize = edm_bench::env_knob("EDM_BENCH_ITERS", 20);
 
     write_group(&out_dir, "sim", &sim_group(iters));
     write_group(&out_dir, "fig8", &fig8_group(iters));
     write_group(&out_dir, "sched", &sched_group(iters));
     write_group(&out_dir, "topo", &topo_group(iters));
     write_par_group(&out_dir, &par_group(iters));
-    let mem_flows: usize = std::env::var("EDM_MEM_FLOWS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(50_000);
+    let mem_flows: usize = edm_bench::env_knob("EDM_MEM_FLOWS", 50_000);
     edm_bench::mem::measure(mem_flows, 1).write(&out_dir);
     // The app group at smoke scale (the committed BENCH_app.json comes
     // from the dedicated `app_sweep` binary at the full grid).

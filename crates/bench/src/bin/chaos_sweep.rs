@@ -24,16 +24,9 @@
 //! Writes `BENCH_faults.json` into `--out DIR` (default `.`).
 
 use edm_bench::mem::peak_rss_kb;
-use edm_bench::{faults, row, scenarios};
+use edm_bench::{env_knob, env_knob_opt, faults, row, scenarios};
 use edm_sim::{Availability, Duration, Time};
 use edm_topo::{FaultEvent, FlowStatus, TopoEdm, TopoEdmConfig, Topology};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 struct Point {
     scenario: &'static str,
@@ -104,12 +97,10 @@ fn main() {
         .unwrap_or_else(|| std::path::PathBuf::from("."));
     std::fs::create_dir_all(&out_dir).expect("create output dir");
 
-    let flows = env_u64("EDM_FLOWS", 50_000) as usize;
-    let shards = env_u64("EDM_SHARDS", 1) as usize;
-    let seed = env_u64("EDM_SEED", 42);
-    let ceiling_mb = std::env::var("EDM_RSS_CEILING_MB")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok());
+    let flows: usize = env_knob("EDM_FLOWS", 50_000);
+    let shards: usize = env_knob("EDM_SHARDS", 1);
+    let seed: u64 = env_knob("EDM_SEED", 42);
+    let ceiling_mb: Option<u64> = env_knob_opt("EDM_RSS_CEILING_MB");
 
     let topo = scenarios::leaf_spine_288(1);
     println!(

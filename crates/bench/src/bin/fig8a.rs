@@ -10,16 +10,10 @@
 //! Optional env: `EDM_FLOWS` (default 4000), `EDM_SEED` (default 42).
 
 use edm_baselines::prelude::*;
+use edm_bench::env_knob;
 use edm_core::sim::{solo_mct, ClusterConfig, EdmProtocol, FlowKind};
 use edm_sim::Summary;
 use edm_workloads::SyntheticWorkload;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn run_panel(loads_or_mixes: &[(f64, f64, String)], count: usize, seed: u64) {
     let cluster = ClusterConfig::default();
@@ -93,8 +87,8 @@ fn run_panel(loads_or_mixes: &[(f64, f64, String)], count: usize, seed: u64) {
 }
 
 fn main() {
-    let count = env_u64("EDM_FLOWS", 4000) as usize;
-    let seed = env_u64("EDM_SEED", 42);
+    let count: usize = env_knob("EDM_FLOWS", 4000);
+    let seed: u64 = env_knob("EDM_SEED", 42);
     let mix_panel = std::env::args().any(|a| a == "--mix");
 
     if mix_panel {

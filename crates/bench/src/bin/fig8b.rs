@@ -8,22 +8,15 @@
 //! `EDM_LOAD` (default 0.8).
 
 use edm_baselines::prelude::*;
-use edm_bench::SoloCurve;
+use edm_bench::{env_knob, SoloCurve};
 use edm_core::sim::{ClusterConfig, EdmProtocol, FlowKind};
 use edm_sim::{Bandwidth, Summary};
 use edm_workloads::AppTrace;
 
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
-    let count = env_f64("EDM_FLOWS", 3000.0) as usize;
-    let seed = env_f64("EDM_SEED", 42.0) as u64;
-    let load = env_f64("EDM_LOAD", 0.8);
+    let count: usize = env_knob("EDM_FLOWS", 3000);
+    let seed: u64 = env_knob("EDM_SEED", 42);
+    let load: f64 = env_knob("EDM_LOAD", 0.8);
     let cluster = ClusterConfig::default();
     let link = Bandwidth::from_gbps(100);
 

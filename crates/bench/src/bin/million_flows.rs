@@ -25,16 +25,8 @@
 //!
 //! [`FlowSource`]: edm_workloads::FlowSource
 
-use edm_bench::mem;
-use edm_bench::row;
+use edm_bench::{env_knob, env_knob_opt, mem, row};
 use edm_sim::LogHistogram;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -46,12 +38,10 @@ fn main() {
         .unwrap_or_else(|| std::path::PathBuf::from("."));
     std::fs::create_dir_all(&out_dir).expect("create output dir");
 
-    let flows = env_usize("EDM_FLOWS", 1_000_000);
-    let shards = env_usize("EDM_SHARDS", 1);
-    let with_faults = env_usize("EDM_FAULTS", 0) != 0;
-    let ceiling_mb = std::env::var("EDM_RSS_CEILING_MB")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok());
+    let flows: usize = env_knob("EDM_FLOWS", 1_000_000);
+    let shards: usize = env_knob("EDM_SHARDS", 1);
+    let with_faults = env_knob::<usize>("EDM_FAULTS", 0) != 0;
+    let ceiling_mb: Option<u64> = env_knob_opt("EDM_RSS_CEILING_MB");
 
     let faults = if with_faults {
         let topo = edm_bench::scenarios::leaf_spine_288(1);

@@ -16,18 +16,11 @@
 //! footer reports the sequential-vs-sharded A/B on the non-blocking
 //! fabric).
 
-use edm_bench::{par_sweep, scenarios};
+use edm_bench::{env_knob, par_sweep, scenarios};
 use edm_core::sim::{ClusterConfig, EdmProtocol, FabricProtocol, Flow, FlowKind};
 use edm_sim::{Duration, Time};
 use edm_topo::{IpTraffic, LeafSpine, TopoEdm, TopoEdmConfig, Topology};
 use edm_workloads::SyntheticWorkload;
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Per-(kind × locality) unloaded probes for normalization.
 struct SoloTable {
@@ -71,10 +64,10 @@ impl SoloTable {
 }
 
 fn main() {
-    let count = env_f64("EDM_FLOWS", 2000.0) as usize;
-    let load = env_f64("EDM_LOAD", 0.6);
-    let local = env_f64("EDM_LOCAL", 0.5);
-    let shards = env_f64("EDM_SHARDS", 1.0) as usize;
+    let count: usize = env_knob("EDM_FLOWS", 2000);
+    let load: f64 = env_knob("EDM_LOAD", 0.6);
+    let local: f64 = env_knob("EDM_LOCAL", 0.5);
+    let shards: usize = env_knob("EDM_SHARDS", 1);
 
     println!(
         "Leaf-spine sweep: 288 nodes (4 leaves x 72), 2 spines, load {load}, \

@@ -23,6 +23,9 @@
 
 use edm_core::sim::{solo_mct, ClusterConfig, FabricProtocol, Flow, FlowKind};
 use edm_sim::{Duration, Time};
+use std::any::type_name;
+use std::env::VarError;
+use std::str::FromStr;
 
 pub mod app;
 pub mod faults;
@@ -215,6 +218,35 @@ where
     })
 }
 
+/// Reads the `name` environment knob as a `T`, or `default` when unset.
+///
+/// A knob that is set but does not parse exits the process with an
+/// error naming the variable — a typo never silently runs the default.
+pub fn env_knob<T: FromStr>(name: &str, default: T) -> T {
+    env_knob_opt(name).unwrap_or(default)
+}
+
+/// [`env_knob`] for knobs without a default: `None` when unset.
+pub fn env_knob_opt<T: FromStr>(name: &str) -> Option<T> {
+    parse_knob(name, std::env::var(name)).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// One knob lookup: `Ok(None)` when unset, an error naming the variable
+/// when it is set but not a `T`.
+fn parse_knob<T: FromStr>(name: &str, raw: Result<String, VarError>) -> Result<Option<T>, String> {
+    match raw {
+        Err(VarError::NotPresent) => Ok(None),
+        Err(VarError::NotUnicode(v)) => Err(format!("{name}={v:?} is not valid UTF-8")),
+        Ok(v) => v
+            .parse()
+            .map(Some)
+            .map_err(|_| format!("{name}={v:?} is not a valid {}", type_name::<T>())),
+    }
+}
+
 /// Prints a row of right-aligned cells under a fixed layout.
 pub fn row(label: &str, cells: &[String]) {
     print!("{label:<22}");
@@ -303,6 +335,17 @@ impl SoloCurve {
 mod tests {
     use super::*;
     use edm_core::sim::EdmProtocol;
+
+    #[test]
+    fn env_knobs_default_parse_or_name_the_bad_variable() {
+        let unset: Result<Option<u64>, _> = parse_knob("EDM_SEED", Err(VarError::NotPresent));
+        assert_eq!(unset, Ok(None));
+        // Seeds above 2^53 survive exactly (no detour through `f64`).
+        let valid = parse_knob::<u64>("EDM_SEED", Ok("9007199254740993".into()));
+        assert_eq!(valid, Ok(Some(9_007_199_254_740_993)));
+        let bad = parse_knob::<usize>("EDM_FLOWS", Ok("100k".into())).unwrap_err();
+        assert!(bad.contains("EDM_FLOWS") && bad.contains("100k"), "{bad}");
+    }
 
     #[test]
     fn solo_curve_monotone_in_size() {

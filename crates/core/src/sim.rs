@@ -13,14 +13,6 @@
 
 use edm_sched::{Notification, NotifyError, Policy, PollResult, Scheduler, SchedulerConfig};
 use edm_sim::{Bandwidth, Duration, Engine, EventQueue, Summary, Time, World};
-use std::sync::OnceLock;
-
-/// Whether `EDM_SIM_DEBUG` is set, resolved once: the env lookup is a
-/// syscall and must stay out of the per-simulation hot path.
-fn sim_debug() -> bool {
-    static DEBUG: OnceLock<bool> = OnceLock::new();
-    *DEBUG.get_or_init(|| std::env::var_os("EDM_SIM_DEBUG").is_some())
-}
 
 /// Cluster-wide configuration shared by every protocol.
 #[derive(Debug, Clone, Copy)]
@@ -1196,9 +1188,6 @@ impl EdmProtocol {
             );
         }
         engine.run();
-        if sim_debug() {
-            eprintln!("[edm-sim] events dispatched: {}", engine.steps());
-        }
         let world = engine.into_world();
         assert_eq!(world.live, 0, "flows stalled without completing");
         EdmStreamStats {
@@ -1236,9 +1225,6 @@ impl FabricProtocol for EdmProtocol {
                 );
             }
             engine.run();
-            if sim_debug() {
-                eprintln!("[edm-sim] events dispatched: {}", engine.steps());
-            }
         }
         let outcomes = results
             .into_iter()

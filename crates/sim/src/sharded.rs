@@ -142,7 +142,8 @@ fn window_end(w: Time, config: &ShardedConfig) -> Time {
 /// sorted, or a shard mails an envelope to itself. A lookahead
 /// violation (an event envelope timestamped in its receiver's past — a
 /// bug in the caller's partitioning) surfaces as the causality panic
-/// when the mis-scheduled event is popped.
+/// when the mis-scheduled event is popped — as does, for any shard
+/// count, a world scheduling an event into its own past.
 pub fn run_sharded<W: ShardWorld>(
     shards: Vec<(W, EventQueue<W::Event>)>,
     config: &ShardedConfig,
@@ -189,25 +190,27 @@ pub fn run_sharded<W: ShardWorld>(
     worlds.into_iter().map(|w| w.expect("joined")).collect()
 }
 
-/// The degenerate one-shard run: a plain sequential loop. Outbox
-/// envelopes must all be broadcasts (state sync with no other recipient)
-/// and are dropped.
+/// The degenerate one-shard run: a plain sequential loop, the whole run
+/// being one window. Its outbox envelopes must all be broadcasts (state
+/// sync with no other recipient) and are dropped at the window's end.
 fn run_single<W: ShardWorld>((mut world, mut queue): (W, EventQueue<W::Event>)) -> W {
-    let mut scratch = Vec::new();
-    while let Some(t) = queue.peek_time() {
-        if t == Time::MAX {
-            break;
+    let mut now = Time::ZERO;
+    while let Some((at, ev)) = queue.pop() {
+        if at == Time::MAX {
+            break; // every event left is at `Time::MAX` too
         }
-        let (at, ev) = queue.pop().expect("peeked");
+        assert!(at >= now, "causality violation: {at} after {now}");
+        now = at;
         world.handle(at, ev, &mut queue);
-        world.drain_outbox(&mut scratch);
-        for env in scratch.drain(..) {
-            assert!(
-                matches!(env.to, Recipient::Broadcast),
-                "single-shard run mailed an envelope to {:?}",
-                env.to
-            );
-        }
+    }
+    let mut outbox = Vec::new();
+    world.drain_outbox(&mut outbox);
+    for env in outbox {
+        assert!(
+            matches!(env.to, Recipient::Broadcast),
+            "single-shard run mailed an envelope to {:?}",
+            env.to
+        );
     }
     world
 }
@@ -524,6 +527,31 @@ mod tests {
         for n in 2..=4 {
             assert_eq!(merged_log(n), reference, "{n} shards diverged");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "causality violation")]
+    fn single_shard_rejects_scheduling_into_the_past() {
+        /// Its first event schedules a follow-up before itself.
+        struct Backwards;
+        impl ShardWorld for Backwards {
+            type Event = bool;
+            type Msg = ();
+            fn handle(&mut self, _now: Time, first: bool, q: &mut EventQueue<bool>) {
+                if first {
+                    q.schedule_ordered(Time::ZERO, 0, false);
+                }
+            }
+            fn drain_outbox(&mut self, _sink: &mut Vec<Envelope<()>>) {}
+            fn receive(&mut self, _at: Time, _ord: u64, _msg: (), _q: &mut EventQueue<bool>) {}
+        }
+        let mut q = EventQueue::new();
+        q.schedule_ordered(Time::from_ns(10), 0, true);
+        let cfg = ShardedConfig {
+            lookahead: Duration::from_ns(1),
+            cuts: vec![],
+        };
+        let _ = run_sharded(vec![(Backwards, q)], &cfg);
     }
 
     #[test]

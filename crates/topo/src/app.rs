@@ -58,25 +58,17 @@
 //! and the closed loop are shared, so EDM vs CXL-oE differences are
 //! transport-only.
 
-use crate::shard::ShardPlan;
 use crate::topology::{Endpoint, Topology};
 use crate::world::{
-    access_half, link_lat, tx8, TopoEdm, TopoEdmConfig, TopoEv, TopoOutcome, TopoStreamStats,
-    TopoWorld, NO_SOURCE,
+    access_half, link_lat, tx8, NoSource, TopoEdm, TopoEdmConfig, TopoEv, TopoOutcome,
+    TopoStreamStats, TopoWorld,
 };
 use edm_core::sim::{evord, Flow, FlowKind};
 use edm_memory::{DramConfig, MemoryService, KV_SLOT_HEADER};
 use edm_sim::rng::Zipf;
-use edm_sim::sharded::run_sharded;
-use edm_sim::{Availability, Duration, Engine, EventQueue, LogHistogram, Rng, Throughput, Time};
+use edm_sim::{Availability, Duration, EventQueue, LogHistogram, Rng, Throughput, Time};
 use edm_workloads::{OpKind, TenantSpec};
 use std::collections::HashMap;
-use std::sync::Arc;
-
-/// Type of the absent sink in app runs (outcomes are consumed by the
-/// replicated app state, not a callback).
-type NoSink = fn(u32, TopoOutcome);
-const NO_SINK: Option<NoSink> = None;
 
 /// Which transport carries the ops of a closed-loop run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -856,7 +848,8 @@ fn finish_leg(
 
 impl TopoEdm {
     /// Runs a closed-loop application workload to completion on `topo`
-    /// and returns its report. Sequential reference path.
+    /// and returns its report. The 1-shard plan of
+    /// [`TopoEdm::simulate_app_sharded`].
     ///
     /// # Panics
     ///
@@ -864,22 +857,7 @@ impl TopoEdm {
     /// NIC/completion delays) and if an op stalls without completing (a
     /// model invariant violation).
     pub fn simulate_app(&self, topo: &Topology, app: &AppConfig) -> AppReport {
-        app.validate(topo);
-        let plan = Arc::new(ShardPlan::solo(topo.switch_count()));
-        let state = AppState::new(app, topo);
-        let mut q = EventQueue::new();
-        self.seed_faults(&mut q);
-        state.seed(&mut q);
-        let world = self.build_world(topo, plan, 0, NO_SINK, NO_SOURCE, Some(Box::new(state)));
-        let mut engine = Engine::with_queue(world, q);
-        engine.run();
-        let mut worlds = [engine.into_world()];
-        let fabric = TopoEdm::stream_stats(&worlds);
-        worlds[0]
-            .app
-            .take()
-            .expect("app runs keep their app state")
-            .into_report(fabric)
+        self.simulate_app_sharded(topo, app, 1)
     }
 
     /// [`TopoEdm::simulate_app`], sharded over up to `shards` cores —
@@ -899,37 +877,21 @@ impl TopoEdm {
         app: &AppConfig,
         shards: usize,
     ) -> AppReport {
-        let plan = Arc::new(ShardPlan::new(topo, &self.config, shards));
-        if plan.shards() == 1 {
-            return self.simulate_app(topo, app);
-        }
         app.validate(topo);
-        let inputs: Vec<_> = (0..plan.shards() as u32)
-            .map(|me| {
-                let state = AppState::new(app, topo);
-                let mut q = EventQueue::new();
-                self.seed_faults(&mut q);
-                state.seed(&mut q);
-                let world = self.build_world(
-                    topo,
-                    plan.clone(),
-                    me,
-                    NO_SINK,
-                    NO_SOURCE,
-                    Some(Box::new(state)),
-                );
-                (world, q)
-            })
-            .collect();
-        let mut cfg = self.sharded_config(&plan);
         // Lookahead floor: `Service`/`Done` events scheduled from
         // barrier-applied credit hooks sit `nic_delay` respectively
         // `completion_delay` in the future; the window length must not
         // exceed either, or a receiving shard would be asked to schedule
         // into a window it already closed. Shrinking lookahead is always
         // safe (more barriers, same conservative protocol).
-        cfg.lookahead = cfg.lookahead.min(app.nic_delay).min(app.completion_delay);
-        let mut worlds = run_sharded(inputs, &cfg);
+        let floor = app.nic_delay.min(app.completion_delay);
+        // Outcomes are consumed by the replicated app state, not a sink.
+        let sink = |_: u32, _: TopoOutcome| {};
+        let mut worlds = self.run::<_, NoSource, _>(topo, shards, floor, sink, |world, q| {
+            let state = AppState::new(app, topo);
+            state.seed(q);
+            world.app = Some(Box::new(state));
+        });
         let fabric = TopoEdm::stream_stats(&worlds);
         worlds[0]
             .app

@@ -12,8 +12,7 @@
 //!   joined by them always land in the same shard. When contraction
 //!   collapses the whole fabric into one component (in particular any
 //!   single-switch topology, which has no trunks at all), the plan
-//!   degenerates to one shard and the caller falls back to the
-//!   sequential engine.
+//!   degenerates to one shard, which runs as a plain sequential loop.
 //! * **Determinism** — the assignment is a pure function of the topology
 //!   and the requested shard count: components are placed by
 //!   longest-processing-time-first over their port counts (a load
@@ -52,7 +51,7 @@ fn find(parent: &mut [u32], mut x: u32) -> u32 {
 }
 
 impl ShardPlan {
-    /// The trivial one-shard plan (the sequential engine's view).
+    /// The trivial one-shard plan (every sequential run's view).
     pub fn solo(switch_count: usize) -> Self {
         ShardPlan {
             assign: vec![0; switch_count],

@@ -4,12 +4,14 @@
 //! A [`Topology`] is a static port-level description of the fabric plus
 //! mutable element state (links and switches can be taken down, links can
 //! be latency-degraded). Routing is recomputed whenever element state
-//! changes: a BFS hop-distance matrix over the live inter-switch graph
-//! drives a deterministic ECMP walk — at every switch, the next hop is
-//! chosen among all live minimal-distance trunks by a caller-supplied
-//! salt, so equal-cost paths (spines, parallel trunks) spread by flow id.
+//! changes: a BFS hop-distance matrix over the live inter-switch graph,
+//! and from it each (switch, destination) row's live minimal-distance
+//! trunks, drive a deterministic ECMP walk — at every switch, the next
+//! hop is chosen among that row's trunks by a caller-supplied salt, so
+//! equal-cost paths (spines, parallel trunks) spread by flow id.
 
 use edm_sim::{Bandwidth, Duration};
+use std::sync::OnceLock;
 
 /// Physical parameters of one link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,6 +155,20 @@ pub struct Topology {
     trunks: Vec<Vec<TrunkEdge>>,
     /// Switch-to-switch hop distance over live elements (row-major).
     dist: Vec<u16>,
+    /// ECMP candidate rows derived from `dist`, built on the first route
+    /// after each `recompute_routes` — so building a topology or
+    /// applying a fault pays nothing for rows until a route reads them.
+    ecmp: OnceLock<EcmpRows>,
+}
+
+/// ECMP candidates, row-major like the distance matrix: at switch `s`
+/// bound for switch `d`, every live trunk one hop closer to `d`, in
+/// adjacency (link-id) order — so a salted pick is deterministic. Row
+/// `r` is `hops[start[r]..start[r + 1]]`.
+#[derive(Debug, Clone)]
+struct EcmpRows {
+    start: Vec<u32>,
+    hops: Vec<TrunkEdge>,
 }
 
 /// A leaf–spine fabric description.
@@ -218,6 +234,7 @@ impl Topology {
             links: Vec::with_capacity(nodes),
             trunks: vec![Vec::new()],
             dist: Vec::new(),
+            ecmp: OnceLock::new(),
         };
         for n in 0..nodes {
             t.node_attach.push((0, n as u16));
@@ -277,6 +294,7 @@ impl Topology {
             links: Vec::new(),
             trunks: vec![Vec::new(); spec.leaves + spec.spines],
             dist: Vec::new(),
+            ecmp: OnceLock::new(),
         };
         for n in 0..spec.nodes() {
             let leaf = (n / spec.nodes_per_leaf) as u32;
@@ -348,6 +366,7 @@ impl Topology {
             links: Vec::new(),
             trunks: vec![Vec::new(); switch_count],
             dist: Vec::new(),
+            ecmp: OnceLock::new(),
             switches: Vec::new(),
         };
         let mut next_port = vec![0u16; switch_count];
@@ -505,10 +524,12 @@ impl Topology {
         self.links[link as usize].extra_latency = Duration::ZERO;
     }
 
-    /// Recomputes the live-element BFS distance matrix. Called by the
-    /// failure setters; only needed directly after manual state edits.
+    /// Recomputes the live-element BFS distance matrix (and drops the
+    /// ECMP rows derived from it). Called by the failure setters; only
+    /// needed directly after manual state edits.
     pub fn recompute_routes(&mut self) {
         let n = self.switches.len();
+        self.ecmp = OnceLock::new();
         self.dist = vec![UNREACH; n * n];
         let mut queue = std::collections::VecDeque::new();
         for start in 0..n {
@@ -532,6 +553,42 @@ impl Topology {
                 }
             }
         }
+    }
+
+    /// The ECMP candidates at switch `s` bound for switch `d` (empty when
+    /// `d` is unreachable or `s` itself).
+    fn next_hops(&self, s: u32, d: u32) -> &[TrunkEdge] {
+        let rows = self.ecmp.get_or_init(|| self.ecmp_rows());
+        let r = s as usize * self.switches.len() + d as usize;
+        &rows.hops[rows.start[r] as usize..rows.start[r + 1] as usize]
+    }
+
+    /// Builds every ECMP candidate row from the current `dist`.
+    fn ecmp_rows(&self) -> EcmpRows {
+        let n = self.switches.len();
+        let mut rows = EcmpRows {
+            start: Vec::with_capacity(n * n + 1),
+            hops: Vec::new(),
+        };
+        rows.start.push(0);
+        for s in 0..n {
+            for d in 0..n {
+                let d_here = self.dist[s * n + d];
+                if d_here != UNREACH && d_here != 0 {
+                    for &e in &self.trunks[s] {
+                        let (nb, link, _, _) = e;
+                        if self.links[link as usize].up
+                            && self.switches[nb as usize].up
+                            && self.dist[nb as usize * n + d] as u32 + 1 == d_here as u32
+                        {
+                            rows.hops.push(e);
+                        }
+                    }
+                }
+                rows.start.push(rows.hops.len() as u32);
+            }
+        }
+        rows
     }
 
     /// Live hop distance between two switches.
@@ -559,17 +616,9 @@ impl Topology {
                 }
                 let mut h: u64 = 0xcbf2_9ce4_8422_2325;
                 let mut mix = |v: u64| h = (h ^ v).wrapping_mul(0x100_0000_01b3);
-                let d_here = self.dist[s * n + d];
-                mix(d_here as u64);
-                if d_here != UNREACH && d_here != 0 {
-                    for &(nb, link, _, _) in &self.trunks[s] {
-                        if self.links[link as usize].up
-                            && self.switches[nb as usize].up
-                            && self.dist[nb as usize * n + d] as u32 + 1 == d_here as u32
-                        {
-                            mix(link as u64 + 1);
-                        }
-                    }
+                mix(self.dist[s * n + d] as u64);
+                for &(_, link, _, _) in self.next_hops(s as u32, d as u32) {
+                    mix(link as u64 + 1);
                 }
                 out[s * n + d] = h;
             }
@@ -611,29 +660,13 @@ impl Topology {
                 });
                 return Some(Route { hops, src_link });
             }
-            let d_here = self.dist[cur as usize * n + d_sw as usize];
-            if d_here == UNREACH {
-                return None;
-            }
             // ECMP: all live minimal-distance trunks are equal candidates;
-            // the salt picks one. Adjacency is link-id sorted, so the
-            // candidate order — and thus the pick — is deterministic.
-            // Two passes (count, then select) keep the walk allocation-free
-            // — this runs once per flow on the simulator hot path.
-            let eligible = |&&(nb, link, _, _): &&TrunkEdge| {
-                self.links[link as usize].up
-                    && self.switches[nb as usize].up
-                    && self.dist[nb as usize * n + d_sw as usize] + 1 == d_here
-            };
-            let count = self.trunks[cur as usize].iter().filter(eligible).count();
-            if count == 0 {
-                return None;
+            // the salt picks one.
+            let cands = self.next_hops(cur, d_sw);
+            if cands.is_empty() {
+                return None; // partitioned
             }
-            let &(nb, link, local, far) = self.trunks[cur as usize]
-                .iter()
-                .filter(eligible)
-                .nth((salt % count as u64) as usize)
-                .expect("pick is within the candidate count");
+            let (nb, link, local, far) = cands[(salt % cands.len() as u64) as usize];
             hops.push(Hop {
                 switch: cur,
                 in_port,

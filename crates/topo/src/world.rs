@@ -100,13 +100,24 @@
 //! keep that pessimism either way, since their notification covers the
 //! whole batch.
 //!
-//! # Streaming flow lifecycle
+//! # One run driver
+//!
+//! Every entry point — materialized flows, streamed flows, and the
+//! closed-loop app tier — runs through one driver: it plans the shards,
+//! builds one world per shard, seeds each queue with the fault schedule
+//! and the run's admissions, and hands the shards to
+//! `edm_sim::sharded::run_sharded`. A sequential run is the 1-shard plan
+//! of that driver (`run_sharded`'s 1-shard case is a plain
+//! single-threaded event loop), so there is one world, one dispatch,
+//! and one flow lifecycle.
+//!
+//! # Flow lifecycle
 //!
 //! Flow state lives in a base-offset ring keyed by admission index
-//! (ids are dense and admitted in order), populated by
-//! *admission* and — in fault-free, unbatched runs — drained by
-//! *retirement*, so resident state tracks the concurrently-active flow
-//! population rather than the total offered load:
+//! (ids are dense and admitted in order), populated by *admission* and
+//! drained by *retirement*, so resident state tracks the
+//! concurrently-active flow population rather than the total offered
+//! load:
 //!
 //! * **Admission.** [`TopoEdm::simulate_streamed`] pulls arrivals lazily
 //!   from a time-ordered iterator (any `edm_workloads` `FlowSource`):
@@ -115,14 +126,17 @@
 //!   arrival is materialized at any instant. The materialized
 //!   [`TopoEdm::simulate`] path admits its whole slice before the run;
 //!   both paths schedule bit-identical demand events.
-//! * **Retirement.** When a flow reaches a terminal state and no future
-//!   event can reference it — guaranteed when the run has no faults (no
-//!   stale-epoch zombie chunks, no reroutes) and no §3.1.2 batching (no
-//!   cross-flow mega messages) — its entry is removed between events,
-//!   and the per-switch message slots, pair-FIFO links, and backlog
-//!   words it held return to the [`SwitchDomain`] free lists. Fault or
-//!   batching runs keep terminal entries resident, as before: in-flight
-//!   zombie chunks still resolve their path context through them.
+//! * **Retirement.** Each entry counts the resident switch offers that
+//!   reference it. When a flow is terminal and its count has drained to
+//!   zero, no future event can reference it: its entry is removed
+//!   between events, and the per-switch message slots, pair-FIFO links,
+//!   and backlog words it held return to the [`SwitchDomain`] free
+//!   lists. Every run retires this way, fault runs included — a stale
+//!   epoch's zombie chunks hold references, so they delay retirement
+//!   rather than disable it. §3.1.2 batching
+//!   ([`TopoEdmConfig::batch_small_messages`]) is the one regime that
+//!   keeps terminal entries resident: a mega message's grants resolve
+//!   their route through its head constituent's entry.
 //! * **Sinking.** Terminal outcomes stream to a sink callback the moment
 //!   they are decided instead of accumulating in a `Vec`. The `Vec`
 //!   paths use a collecting sink, preserving their API and results
@@ -139,7 +153,7 @@ use edm_core::sim::{
 };
 use edm_sched::{Policy, SchedulerConfig};
 use edm_sim::sharded::{run_sharded, Envelope, Recipient, ShardWorld, ShardedConfig};
-use edm_sim::{Duration, Engine, EventQueue, Summary, Time, World};
+use edm_sim::{Duration, EventQueue, Summary, Time};
 use std::sync::Arc;
 
 /// A failure (or degradation) injected at a point in simulated time.
@@ -404,11 +418,11 @@ pub struct TopoStreamStats {
     /// Simulation events dispatched (admission events are free: the
     /// materialized path has none, and the tallies must match).
     pub events: u64,
-    /// Peak number of concurrently-resident flow entries — with eager
-    /// retirement (streamed, unbatched runs; faults included, whose
-    /// zombie references drain through per-flow counts) this is the
-    /// active-flow population peak, independent of how many flows the
-    /// source emits in total. Sharded runs may report slightly more than the
+    /// Peak number of concurrently-resident flow entries — with
+    /// retirement (every unbatched run; faults included, whose zombie
+    /// references drain through per-flow counts) this is the active-flow
+    /// population peak, independent of how many flows the source emits
+    /// in total. Sharded runs may report slightly more than the
     /// sequential run: delivery credits retire replicas at window
     /// barriers, a beat after the sequential run retires them.
     pub active_high_water: usize,
@@ -420,13 +434,15 @@ pub struct TopoStreamStats {
 
 /// The multi-switch EDM protocol.
 ///
-/// [`TopoEdm::simulate`] runs sequentially; [`TopoEdm::simulate_sharded`]
-/// runs the *same* simulation split across cores under conservative
-/// windows, bit-identical to the sequential run for every shard count
-/// (pinned by the `prop_parallel` lockstep suite). Topologies that
+/// Every entry point runs one driver: [`TopoEdm::simulate_sharded`]
+/// splits the simulation across cores under conservative windows,
+/// bit-identical to the sequential run for every shard count (pinned by
+/// the `prop_parallel` lockstep suite), and [`TopoEdm::simulate`] is its
+/// 1-shard plan — a plain single-threaded event loop. Topologies that
 /// cannot support parallelism — a single switch, or zero-latency trunks
-/// contracting everything into one component — degenerate to the
-/// sequential path.
+/// contracting everything into one component — degenerate to that
+/// 1-shard plan. All runs retire terminal, unreferenced flows the same
+/// way; §3.1.2 batching is the one regime that keeps them resident.
 #[derive(Debug, Clone, Default)]
 pub struct TopoEdm {
     /// Configuration.
@@ -440,7 +456,8 @@ impl TopoEdm {
     }
 
     /// Simulates `flows` over `topo` (a private copy — fault injection
-    /// never mutates the caller's topology).
+    /// never mutates the caller's topology). The 1-shard plan of
+    /// [`TopoEdm::simulate_sharded`].
     ///
     /// # Panics
     ///
@@ -448,21 +465,7 @@ impl TopoEdm {
     /// zero-size messages) and if a flow stalls without a terminal state
     /// (a model invariant violation).
     pub fn simulate(&self, topo: &Topology, flows: &[Flow]) -> TopoResult {
-        let mut results: Vec<Option<TopoOutcome>> = vec![None; flows.len()];
-        let tally = {
-            let sink = |id: u32, o: TopoOutcome| results[id as usize] = Some(o);
-            let plan = Arc::new(ShardPlan::solo(topo.switch_count()));
-            let mut world = self.build_world(topo, plan, 0, Some(sink), NO_SOURCE, None);
-            let mut q = EventQueue::new();
-            self.seed_faults(&mut q);
-            for (i, &f) in flows.iter().enumerate() {
-                world.admit(i as u32, f, &mut q);
-            }
-            let mut engine = Engine::with_queue(world, q);
-            engine.run();
-            TopoEdm::tally(&[engine.into_world()])
-        };
-        TopoEdm::into_result(results, tally)
+        self.simulate_sharded(topo, flows, 1)
     }
 
     /// [`TopoEdm::simulate`], sharded over up to `shards` cores.
@@ -476,28 +479,20 @@ impl TopoEdm {
     ///
     /// As [`TopoEdm::simulate`].
     pub fn simulate_sharded(&self, topo: &Topology, flows: &[Flow], shards: usize) -> TopoResult {
-        let plan = Arc::new(ShardPlan::new(topo, &self.config, shards));
-        if plan.shards() == 1 {
-            return self.simulate(topo, flows);
-        }
         let mut results: Vec<Option<TopoOutcome>> = vec![None; flows.len()];
         let tally = {
-            // Shard 0 holds the collecting sink; replicas elsewhere run
-            // the same terminal transitions without reporting them.
-            let mut sink = Some(|id: u32, o: TopoOutcome| results[id as usize] = Some(o));
-            let inputs: Vec<_> = (0..plan.shards() as u32)
-                .map(|me| {
-                    let mut world =
-                        self.build_world(topo, plan.clone(), me, sink.take(), NO_SOURCE, None);
-                    let mut q = EventQueue::new();
-                    self.seed_faults(&mut q);
+            let sink = |id: u32, o: TopoOutcome| results[id as usize] = Some(o);
+            TopoEdm::tally(&self.run::<_, NoSource, _>(
+                topo,
+                shards,
+                Duration::MAX,
+                sink,
+                |world, q| {
                     for (i, &f) in flows.iter().enumerate() {
-                        world.admit(i as u32, f, &mut q);
+                        world.admit(i as u32, f, q);
                     }
-                    (world, q)
-                })
-                .collect();
-            TopoEdm::tally(&run_sharded(inputs, &self.sharded_config(&plan)))
+                },
+            ))
         };
         TopoEdm::into_result(results, tally)
     }
@@ -505,11 +500,14 @@ impl TopoEdm {
     /// Streams a simulation: arrivals are pulled lazily from `source`
     /// (must be time-ordered — every `edm_workloads` `FlowSource` is) and
     /// per-flow outcomes are pushed to `sink` the moment they are
-    /// decided. With no faults and no §3.1.2 batching, completed flows
-    /// *retire* — their routing entry, switch message slots, pair-FIFO
-    /// links, and backlog words all return to free lists — so resident
-    /// memory tracks the concurrently-active flow population, not the
-    /// total flow count ([`TopoStreamStats::active_high_water`]).
+    /// decided. The 1-shard plan of
+    /// [`TopoEdm::simulate_sharded_streamed`]. Completed flows *retire*
+    /// once no resident switch offer references them — their routing
+    /// entry, switch message slots, pair-FIFO links, and backlog words
+    /// all return to free lists — so resident memory tracks the
+    /// concurrently-active flow population, not the total flow count
+    /// ([`TopoStreamStats::active_high_water`]). §3.1.2 batching is the
+    /// one regime that keeps terminal entries resident.
     ///
     /// Fault-free streamed runs are bit-identical to materializing the
     /// source and calling [`TopoEdm::simulate`] (pinned by proptest).
@@ -524,34 +522,10 @@ impl TopoEdm {
     /// arrivals out of time order.
     pub fn simulate_streamed<I, F>(&self, topo: &Topology, source: I, sink: F) -> TopoStreamStats
     where
-        I: Iterator<Item = Flow>,
-        F: FnMut(TopoOutcome),
+        I: Iterator<Item = Flow> + Clone + Send,
+        F: FnMut(TopoOutcome) + Send,
     {
-        let mut sink = sink;
-        let plan = Arc::new(ShardPlan::solo(topo.switch_count()));
-        let mut source = source;
-        let first = source.next();
-        let mut world = self.build_world(
-            topo,
-            plan,
-            0,
-            Some(move |_id: u32, o: TopoOutcome| sink(o)),
-            Some((source, 1)),
-            None,
-        );
-        let mut q = EventQueue::new();
-        self.seed_faults(&mut q);
-        if let Some(f) = first {
-            q.schedule_ordered(
-                f.arrival,
-                evord::demand(0),
-                TopoEv::Admit { id: 0, flow: f },
-            );
-        }
-        let mut engine = Engine::with_queue(world, q);
-        engine.run();
-        world = engine.into_world();
-        TopoEdm::stream_stats(&[world])
+        self.simulate_sharded_streamed(topo, source, sink, 1)
     }
 
     /// [`TopoEdm::simulate_streamed`], sharded over up to `shards` cores
@@ -573,26 +547,16 @@ impl TopoEdm {
         I: Iterator<Item = Flow> + Clone + Send,
         F: FnMut(TopoOutcome) + Send,
     {
-        let plan = Arc::new(ShardPlan::new(topo, &self.config, shards));
-        if plan.shards() == 1 {
-            return self.simulate_streamed(topo, source, sink);
-        }
         let mut sink = sink;
-        let mut sink_slot = Some(move |_id: u32, o: TopoOutcome| sink(o));
         let mut source = source;
         let first = source.next();
-        let inputs: Vec<_> = (0..plan.shards() as u32)
-            .map(|me| {
-                let world = self.build_world(
-                    topo,
-                    plan.clone(),
-                    me,
-                    sink_slot.take(),
-                    Some((source.clone(), 1)),
-                    None,
-                );
-                let mut q = EventQueue::new();
-                self.seed_faults(&mut q);
+        let worlds = self.run(
+            topo,
+            shards,
+            Duration::MAX,
+            move |_id: u32, o: TopoOutcome| sink(o),
+            |world, q| {
+                world.source = Some((source.clone(), 1));
                 if let Some(f) = first {
                     q.schedule_ordered(
                         f.arrival,
@@ -600,45 +564,71 @@ impl TopoEdm {
                         TopoEv::Admit { id: 0, flow: f },
                     );
                 }
+            },
+        );
+        TopoEdm::stream_stats(&worlds)
+    }
+
+    /// The one run driver behind every entry point. Plans up to `shards`
+    /// shards (one when `shards <= 1` or the topology cannot split),
+    /// builds one world per shard — `sink` in shard 0 — seeds its queue
+    /// with the fault schedule and then `admit`'s admissions, and runs
+    /// the shards under [`run_sharded`], whose 1-shard case is the plain
+    /// sequential loop. The conservative window never exceeds
+    /// `max_lookahead`.
+    pub(crate) fn run<S, I, A>(
+        &self,
+        topo: &Topology,
+        shards: usize,
+        max_lookahead: Duration,
+        sink: S,
+        mut admit: A,
+    ) -> Vec<TopoWorld<S, I>>
+    where
+        S: FnMut(u32, TopoOutcome) + Send,
+        I: Iterator<Item = Flow> + Send,
+        A: FnMut(&mut TopoWorld<S, I>, &mut EventQueue<TopoEv>),
+    {
+        let plan = Arc::new(ShardPlan::new(topo, &self.config, shards));
+        let mut sink = Some(sink);
+        let inputs: Vec<_> = (0..plan.shards() as u32)
+            .map(|me| {
+                let mut world = self.build_world(topo, plan.clone(), me, sink.take());
+                let mut q = EventQueue::new();
+                // A fault at time T precedes any same-instant demand by
+                // order-key rank.
+                for (i, f) in self.config.faults.iter().enumerate() {
+                    q.schedule_ordered(
+                        f.at,
+                        evord::fault(i as u32),
+                        TopoEv::Fault { idx: i as u32 },
+                    );
+                }
+                admit(&mut world, &mut q);
                 (world, q)
             })
             .collect();
-        TopoEdm::stream_stats(&run_sharded(inputs, &self.sharded_config(&plan)))
-    }
-
-    /// Fault events, replicated into every shard's queue; a fault at
-    /// time T precedes any same-instant demand by order-key rank.
-    pub(crate) fn seed_faults(&self, q: &mut EventQueue<TopoEv>) {
-        for (i, f) in self.config.faults.iter().enumerate() {
-            q.schedule_ordered(
-                f.at,
-                evord::fault(i as u32),
-                TopoEv::Fault { idx: i as u32 },
-            );
-        }
-    }
-
-    pub(crate) fn sharded_config(&self, plan: &ShardPlan) -> ShardedConfig {
+        // Fault times are window cuts: every replica applies them before
+        // any shard observes the change.
         let mut cuts: Vec<Time> = self.config.faults.iter().map(|f| f.at).collect();
         cuts.sort_unstable();
-        ShardedConfig {
-            lookahead: plan.lookahead(),
+        let config = ShardedConfig {
+            lookahead: plan.lookahead().min(max_lookahead),
             cuts,
-        }
+        };
+        run_sharded(inputs, &config)
     }
 
     /// Builds one shard's world (for the solo plan: the whole world),
     /// with no flows admitted yet. Every shard computes identical
     /// replicated flow state as admissions run; only domain ownership,
     /// demand seeding, and sink placement differ.
-    pub(crate) fn build_world<S, I>(
+    fn build_world<S, I>(
         &self,
         topo: &Topology,
         plan: Arc<ShardPlan>,
         me: u32,
         sink: Option<S>,
-        source: Option<(I, u32)>,
-        app: Option<Box<AppState>>,
     ) -> TopoWorld<S, I>
     where
         S: FnMut(u32, TopoOutcome),
@@ -667,20 +657,6 @@ impl TopoEdm {
         let gens = vec![0u32; topo.switch_count()];
         TopoWorld {
             ip: IpModel::new(self.config.ip, link_count),
-            // A terminal flow retires once its per-flow reference count
-            // drains to zero — every resident offer it holds at an
-            // owned switch is counted, so zombie chunks of fault runs
-            // simply delay retirement instead of disabling it. §3.1.2
-            // mega messages are the one remaining exclusion: grants
-            // resolve their route through the *head* constituent's
-            // entry, which must outlive the whole mega. Retirement only
-            // pays on streamed runs — the materialized paths hold an
-            // O(flows) results vector regardless, and skipping it keeps
-            // `rt` a flat append-only table there.
-            // Closed-loop app runs are streamed by construction (flows
-            // are admitted as ops issue and retire as legs complete), so
-            // they retire eagerly under the same exclusion.
-            eager_retire: (source.is_some() || app.is_some()) && !self.config.batch_small_messages,
             cfg: self.config.clone(),
             topo,
             rt: RtMap::default(),
@@ -694,13 +670,13 @@ impl TopoEdm {
             events: 0,
             outbox: Vec::new(),
             sink,
-            source,
+            source: None,
             retired: Vec::new(),
             admitted: 0,
             delivered_n: 0,
             failed_n: 0,
             active_hwm: 0,
-            app,
+            app: None,
             app_done_buf: Vec::new(),
         }
     }
@@ -843,16 +819,16 @@ struct FlowRt {
     /// Outstanding resident offers this flow holds at switches owned by
     /// *this shard*: +1 per [`SwitchDomain::offer`], −1 when the
     /// sub-offer completes, is cancelled, or dies with a purged switch.
-    /// A terminal entry retires (eager mode) once the count drains to
-    /// zero — the shard-local proof that no future event can reference
-    /// it, which is what lets streamed *fault* runs stay bounded-memory.
+    /// A terminal entry retires once the count drains to zero — the
+    /// shard-local proof that no future event can reference it, which is
+    /// what lets *fault* runs stay bounded-memory.
     refs: u32,
     status: RtStatus,
 }
 
-/// Flow state keyed by admission index: live flows plus — in fault or
-/// batching runs — terminal entries whose route context may still be
-/// referenced.
+/// Flow state keyed by admission index: live flows plus terminal
+/// entries whose route context may still be referenced (outstanding
+/// references, or any terminal entry of a batching run).
 ///
 /// Ids are dense and admitted in increasing order, and retirement is
 /// FIFO-ish (flows complete within a bounded window of their arrival),
@@ -946,10 +922,9 @@ impl RtMap {
 impl std::ops::Index<u32> for RtMap {
     type Output = FlowRt;
     fn index(&self, id: u32) -> &FlowRt {
-        // One subtraction plus one slice index: the materialized paths
-        // never compact (`base` stays 0), so this is as cheap as the
-        // flat `Vec<FlowRt>` it replaced — which keeps the leaf-spine
-        // per-flow cost inside the `topo_scale` 2x gate in debug builds.
+        // One subtraction plus one slice index — as cheap as a flat
+        // `Vec<FlowRt>`, which keeps the leaf-spine per-flow cost inside
+        // the `topo_scale` 2x gate in debug builds.
         match self.slots[id.wrapping_sub(self.base) as usize] {
             Some(ref rt) => rt,
             None => panic!("flow {id} is not resident"),
@@ -957,9 +932,9 @@ impl std::ops::Index<u32> for RtMap {
     }
 }
 
-/// Type of the absent streaming source in the materialized paths.
+/// Type of the absent streaming source in the materialized and app
+/// runs.
 pub(crate) type NoSource = std::iter::Empty<Flow>;
-pub(crate) const NO_SOURCE: Option<(NoSource, u32)> = None;
 
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum TopoEv {
@@ -988,7 +963,6 @@ pub(crate) enum TopoEv {
     /// shard (its `Arrive` half is mailed there with the same order
     /// key).
     Settle {
-        token: u64,
         from_switch: u16,
         slot: u32,
         bytes: u32,
@@ -1101,9 +1075,9 @@ fn lane_side(topo: &Topology, link: u32, granting: u32) -> u8 {
 pub(crate) struct TopoWorld<S, I> {
     pub(crate) cfg: TopoEdmConfig,
     pub(crate) topo: Topology,
-    /// Per-flow runtime state, inserted at admission and — in eager
-    /// mode — removed at retirement, so `rt.len()` tracks the *active*
-    /// flow population rather than the total offered load.
+    /// Per-flow runtime state, inserted at admission and removed at
+    /// retirement (`TopoWorld::retires`), so `rt.len()` tracks the
+    /// *active* flow population rather than the total offered load.
     rt: RtMap,
     /// `Some` only for switches this shard owns (all of them for the
     /// sequential solo plan).
@@ -1132,14 +1106,8 @@ pub(crate) struct TopoWorld<S, I> {
     /// Streaming arrival source and the next admission index; `None`
     /// once drained (or always, for the materialized paths).
     source: Option<(I, u32)>,
-    /// Whether terminal flows leave `rt` immediately: true only on
-    /// streamed runs (the materialized paths are O(flows) resident
-    /// anyway) with no faults (no zombie chunks, no reroutes) and no
-    /// §3.1.2 batching (no cross-flow megas) — the conditions under
-    /// which a terminal entry provably has zero outstanding references.
-    eager_retire: bool,
-    /// Flows whose terminal transition happened inside the current event
-    /// dispatch; drained between events (eager mode only).
+    /// Flows whose terminal transition happened inside the current
+    /// settle's delivery pass; drained between events.
     retired: Vec<u32>,
     admitted: u64,
     delivered_n: u64,
@@ -1174,49 +1142,32 @@ where
 
     /// Admits one flow: route it, create its runtime entry, and (on the
     /// hop-0 shard) schedule its demand flight. Unroutable flows fail
-    /// immediately and never get an entry. The materialized paths call
+    /// immediately without an entry — or, with
+    /// [`TopoEdmConfig::max_retries`], wait resident and routeless for
+    /// a retry probe. The materialized paths call
     /// this for the whole slice before the run; the streaming path calls
     /// it from `Admit` events at each flow's arrival instant — the
     /// demand events produced are bit-identical either way.
     pub(crate) fn admit(&mut self, id: u32, flow: Flow, q: &mut EventQueue<TopoEv>) {
         self.admitted += 1;
-        let Some(route) = admission_route(&self.topo, &flow) else {
-            if self.cfg.max_retries > 0 {
-                // A flow arriving into a partition waits it out like a
-                // partitioned reroute does: resident, routeless, with a
-                // bounded retry budget.
-                self.rt.insert(
-                    id,
-                    FlowRt {
-                        flow,
-                        routes: vec![None],
-                        epoch: 0,
-                        delivered: 0,
-                        inject_bytes: flow.size,
-                        refs: 0,
-                        status: RtStatus::Active,
-                    },
-                );
-                self.active_hwm = self.active_hwm.max(self.rt.len());
-                self.retry_or_fail(id, 0, 1, flow.arrival, q);
-            } else {
-                self.emit(
-                    id,
-                    TopoOutcome {
-                        flow,
-                        status: FlowStatus::Failed(flow.arrival),
-                    },
-                );
-                self.app_flow_done(id, flow.arrival, false, q);
-            }
+        let route = admission_route(&self.topo, &flow);
+        if route.is_none() && self.cfg.max_retries == 0 {
+            self.emit(
+                id,
+                TopoOutcome {
+                    flow,
+                    status: FlowStatus::Failed(flow.arrival),
+                },
+            );
+            self.app_flow_done(id, flow.arrival, false, q);
             return;
-        };
-        let h0 = route.hops[0].switch;
+        }
+        let h0 = route.as_ref().map(|r| r.hops[0].switch);
         self.rt.insert(
             id,
             FlowRt {
                 flow,
-                routes: vec![Some(route)],
+                routes: vec![route],
                 epoch: 0,
                 delivered: 0,
                 inject_bytes: flow.size,
@@ -1225,10 +1176,17 @@ where
             },
         );
         self.active_hwm = self.active_hwm.max(self.rt.len());
-        // Host-node events are pinned to the data source's leaf shard.
-        if self.local(h0) {
-            let t = self.demand_time(id, flow.arrival);
-            q.schedule_ordered(t, evord::demand(id), TopoEv::Demand { flow: id, epoch: 0 });
+        match h0 {
+            // A flow arriving into a partition waits it out like a
+            // partitioned reroute does: resident, routeless, with a
+            // bounded retry budget.
+            None => self.retry_or_fail(id, 0, 1, flow.arrival, q),
+            // Host-node events are pinned to the data source's leaf shard.
+            Some(h0) if self.local(h0) => {
+                let t = self.demand_time(id, flow.arrival);
+                q.schedule_ordered(t, evord::demand(id), TopoEv::Demand { flow: id, epoch: 0 });
+            }
+            Some(_) => {}
         }
     }
 
@@ -1253,17 +1211,25 @@ where
     }
 
     /// Removes entries whose terminal transition was observed during the
-    /// last event (the list is only ever fed in eager mode).
+    /// last event.
     #[inline]
     fn flush_retired(&mut self) {
-        if self.retired.is_empty() {
-            return;
-        }
-        for id in self.retired.drain(..) {
+        while let Some(id) = self.retired.pop() {
             let gone = self.rt.remove(id);
             debug_assert!(gone.is_some(), "flow {id} retired twice");
         }
     }
+
+    /// Whether a terminal flow whose reference count has drained leaves
+    /// `rt`. Every resident offer at an owned switch is counted, so
+    /// zombie chunks of fault runs only delay retirement. §3.1.2 mega
+    /// messages are the one exclusion: their grants resolve the route
+    /// through the *head* constituent's entry, which must outlive the
+    /// whole mega, so batching runs keep terminal entries resident.
+    fn retires(&self) -> bool {
+        !self.cfg.batch_small_messages
+    }
+
     /// Whether `switch` belongs to this shard.
     fn local(&self, switch: u32) -> bool {
         self.plan.shard_of(switch) == self.me
@@ -1278,7 +1244,7 @@ where
         debug_assert!(r.refs > 0, "unbalanced reference release");
         r.refs -= 1;
         let retire = r.refs == 0 && r.status != RtStatus::Active;
-        if self.eager_retire && retire {
+        if retire && self.retires() {
             self.rt.remove(fi);
         }
     }
@@ -1343,7 +1309,7 @@ where
                     status: FlowStatus::Failed(now),
                 },
             );
-            if self.eager_retire && retire {
+            if retire && self.retires() {
                 self.rt.remove(flow);
             }
             self.app_flow_done(flow, now, false, q);
@@ -1480,7 +1446,6 @@ where
                         arrival,
                         ord,
                         TopoEv::Settle {
-                            token: g.token,
                             from_switch: switch as u16,
                             slot: g.slot,
                             bytes: g.chunk_bytes,
@@ -1507,19 +1472,40 @@ where
         }
     }
 
+    /// Where a chunk of `token` granted at `from_switch` flies: the far
+    /// end of its hop's out link. `None` when the flow's entry is gone —
+    /// a cancelled message's draining chunk (cancellation released its
+    /// reference), or a zombie chunk mailed over from the shard whose
+    /// switch drains it after the terminal flow retired here. Retirement
+    /// requires a terminal status, and every post-terminal chunk is
+    /// stale-epoch by construction, so nothing is lost.
+    fn next_element(&self, token: u64, from_switch: u32) -> Option<Endpoint> {
+        let (fi, ep) = unpack(token);
+        let route = self.rt.get(fi)?.routes[ep as usize]
+            .as_ref()
+            .expect("chunk of an offered epoch");
+        let h = route
+            .hops
+            .iter()
+            .find(|h| h.switch == from_switch)
+            .expect("chunk granted on its route");
+        Some(self.topo.link_far_end(h.out_link, from_switch))
+    }
+
     /// A chunk's egress bookkeeping at its granting switch: the port
     /// really carried it, so the message state advances and backlogged
     /// demand is admitted — also for zombie chunks (blackholed bandwidth
-    /// is still spent). Final-hop chunks credit the destination here.
+    /// is still spent). Final-hop chunks (`is_final`) credit the
+    /// destination here.
     #[allow(clippy::too_many_arguments)]
     fn settle(
         &mut self,
         now: Time,
-        token: u64,
         from_switch: u32,
         slot: u32,
         bytes: u32,
         gen: u32,
+        is_final: bool,
         q: &mut EventQueue<TopoEv>,
     ) {
         // Generation fence: a chunk granted before this switch died must
@@ -1529,28 +1515,7 @@ where
         if self.gens[from_switch as usize] != gen || !self.topo.switch_up(from_switch) {
             return;
         }
-        let is_final = {
-            // A missing entry here can only be a cancelled message's
-            // draining chunk — cancellation released its reference, so
-            // the flow may have retired. Delivery below still runs for
-            // slot bookkeeping, but no completion fires for a cancelled
-            // message, so the flag's value is irrelevant then.
-            let (fi, ep) = unpack(token);
-            self.rt.get(fi).is_some_and(|r| {
-                let route = r.routes[ep as usize]
-                    .as_ref()
-                    .expect("chunk of an offered epoch");
-                let h = route
-                    .hops
-                    .iter()
-                    .find(|h| h.switch == from_switch)
-                    .expect("chunk granted on its route");
-                matches!(
-                    self.topo.link_far_end(h.out_link, from_switch),
-                    Endpoint::Node(_)
-                )
-            })
-        };
+        let retires = self.retires();
         let TopoWorld {
             domains,
             rt,
@@ -1558,7 +1523,6 @@ where
             outbox,
             sink,
             retired,
-            eager_retire,
             delivered_n,
             app,
             app_done_buf,
@@ -1619,7 +1583,7 @@ where
                     });
                 }
             }
-            if *eager_retire && r.refs == 0 && r.status != RtStatus::Active {
+            if retires && r.refs == 0 && r.status != RtStatus::Active {
                 // Deferred to the end of this dispatch: `rt` is
                 // mutably borrowed for the whole delivery pass.
                 retired.push(cfi);
@@ -1645,23 +1609,11 @@ where
         }
     }
 
-    /// A chunk's implicit notification at its next-hop switch (arrival =
-    /// demand), unless the chunk is stale or the switch is gone.
-    fn arrive(
-        &mut self,
-        now: Time,
-        token: u64,
-        from_switch: u32,
-        bytes: u32,
-        q: &mut EventQueue<TopoEv>,
-    ) {
+    /// A chunk's implicit notification at its next-hop switch `sw2`
+    /// (arrival = demand), unless the chunk is stale or the switch is
+    /// gone.
+    fn arrive(&mut self, now: Time, token: u64, sw2: u32, bytes: u32, q: &mut EventQueue<TopoEv>) {
         let (fi, ep) = unpack(token);
-        // A chunk can outlive its flow's replica on this shard: a
-        // terminal flow retires here while a zombie chunk is still
-        // mailed over from the shard whose switch drains it. Retirement
-        // requires a terminal status, and every post-terminal chunk is
-        // stale-epoch by construction — drop it exactly as the epoch
-        // check below would have.
         let Some(r) = self.rt.get(fi) else {
             return;
         };
@@ -1671,15 +1623,6 @@ where
         let route = r.routes[ep as usize]
             .as_ref()
             .expect("route for the offered epoch");
-        let cur = route
-            .hops
-            .iter()
-            .find(|h| h.switch == from_switch)
-            .expect("chunk granted on its route");
-        let Endpoint::Port { switch: sw2, .. } = self.topo.link_far_end(cur.out_link, from_switch)
-        else {
-            return; // reached its destination node: settle credited it
-        };
         if !self.topo.switch_up(sw2) {
             return;
         }
@@ -1794,8 +1737,8 @@ where
         }
     }
 
-    /// One event. The shared core of the sequential [`World`] and the
-    /// parallel [`ShardWorld`] drivers.
+    /// One event ([`ShardWorld::handle`], before retired entries are
+    /// flushed).
     fn dispatch(&mut self, now: Time, ev: TopoEv, q: &mut EventQueue<TopoEv>) {
         match ev {
             TopoEv::Admit { id, flow } => {
@@ -1883,27 +1826,35 @@ where
                 gen,
             } => {
                 self.events += 1;
-                self.settle(now, token, from_switch as u32, slot, bytes, gen, q);
-                self.arrive(now, token, from_switch as u32, bytes, q);
+                let next = self.next_element(token, from_switch as u32);
+                let is_final = matches!(next, Some(Endpoint::Node(_)));
+                self.settle(now, from_switch as u32, slot, bytes, gen, is_final, q);
+                if let Some(Endpoint::Port { switch, .. }) = next {
+                    self.arrive(now, token, switch, bytes, q);
+                }
             }
             TopoEv::Settle {
-                token,
                 from_switch,
                 slot,
                 bytes,
                 gen,
             } => {
                 // Counts as the chunk's one event; its mailed Arrive
-                // half does not.
+                // half does not. The next hop lives in another shard, so
+                // this is never the final hop.
                 self.events += 1;
-                self.settle(now, token, from_switch as u32, slot, bytes, gen, q);
+                self.settle(now, from_switch as u32, slot, bytes, gen, false, q);
             }
             TopoEv::Arrive {
                 token,
                 from_switch,
                 bytes,
             } => {
-                self.arrive(now, token, from_switch as u32, bytes, q);
+                if let Some(Endpoint::Port { switch, .. }) =
+                    self.next_element(token, from_switch as u32)
+                {
+                    self.arrive(now, token, switch, bytes, q);
+                }
             }
             TopoEv::Fault { idx } => {
                 // Replicated in every shard; counted once.
@@ -2022,23 +1973,6 @@ where
     }
 }
 
-impl<S, I> World for TopoWorld<S, I>
-where
-    S: FnMut(u32, TopoOutcome),
-    I: Iterator<Item = Flow>,
-{
-    type Event = TopoEv;
-
-    fn handle(&mut self, now: Time, ev: TopoEv, q: &mut EventQueue<TopoEv>) {
-        self.dispatch(now, ev, q);
-        self.flush_retired();
-        debug_assert!(
-            self.outbox.is_empty(),
-            "sequential run emitted cross-shard traffic"
-        );
-    }
-}
-
 impl<S, I> ShardWorld for TopoWorld<S, I>
 where
     S: FnMut(u32, TopoOutcome) + Send,
@@ -2100,7 +2034,7 @@ where
                 // references (fault-run re-offers still resident in an
                 // owned domain here) defer removal to their release.
                 let no_refs = self.rt[flow].refs == 0;
-                if self.eager_retire && no_refs {
+                if no_refs && self.retires() {
                     self.rt.remove(flow);
                 }
                 // Barrier credits apply in (time, flow-keyed order), which
