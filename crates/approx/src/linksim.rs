@@ -144,8 +144,10 @@ impl World for MiniWorld<'_> {
                     },
                     token: m as u64,
                 };
-                if self.dom.offer(now, offer) && self.dom.note_poll_wanted(now) {
-                    q.schedule_ordered(now, evord::poll(0), MiniEv::Poll);
+                if let Some(at) = self.dom.offer(now, offer) {
+                    if self.dom.note_poll_wanted(at) {
+                        q.schedule_ordered(at, evord::poll(0), MiniEv::Poll);
+                    }
                 }
             }
             MiniEv::Poll => {
@@ -183,13 +185,15 @@ impl World for MiniWorld<'_> {
                     pending,
                     ..
                 } = self;
-                let freed = dom.deliver(now, slot, bytes, |token, _sub_bytes| {
+                let poll_at = dom.deliver(now, slot, bytes, |token, _sub_bytes| {
                     let lf = &profile.members[members[token as usize] as usize];
                     done[token as usize] = now.saturating_since(lf.arrival + *shift);
                     *pending -= 1;
                 });
-                if freed && self.dom.has_demand() && self.dom.note_poll_wanted(now) {
-                    q.schedule_ordered(now, evord::poll(0), MiniEv::Poll);
+                if let Some(at) = poll_at {
+                    if self.dom.note_poll_wanted(at) {
+                        q.schedule_ordered(at, evord::poll(0), MiniEv::Poll);
+                    }
                 }
             }
         }

@@ -414,10 +414,20 @@ type PairFifo = u64;
 /// X-limit backlog with §3.1.2 mega-batching, msg-id allocation, and
 /// poll-event deduplication.
 ///
-/// The domain is event-queue agnostic: methods return whether the caller
-/// should (de-duplicate and) schedule a poll event, so the same state
-/// machine drives both the single-switch [`EdmProtocol`] world and
-/// `edm-topo`'s multi-switch fabrics (one domain per switch).
+/// The domain is event-queue agnostic: methods return the instant, if
+/// any, at which the caller should (de-duplicate and) schedule a poll
+/// event, so the same state machine drives both the single-switch
+/// [`EdmProtocol`] world and `edm-topo`'s multi-switch fabrics (one
+/// domain per switch).
+///
+/// Poll rule: a round is requested only for an instant at which it can
+/// grant — where a newly admitted message's port pair frees
+/// ([`SwitchDomain::offer`], [`SwitchDomain::deliver`]) or the previous
+/// round's [`PollResult::next_wakeup`] — plus one at `now` after a
+/// [`SwitchDomain::cancel`] (fault paths only). The scheduler's state
+/// changes only at notify, cancel and grant, each followed by a request,
+/// so the rounds that grant fall at exactly the instants a round at
+/// every busy-timer expiry would first grant.
 #[derive(Debug)]
 pub struct SwitchDomain {
     ports: usize,
@@ -485,21 +495,19 @@ impl SwitchDomain {
     }
 
     /// Whether the scheduler holds queued demand. A poll without demand
-    /// is a no-op, so callers skip scheduling one (saves a heap event per
-    /// completed message — outcomes are unaffected).
+    /// is a no-op, so callers skip scheduling one.
     pub fn has_demand(&self) -> bool {
         self.scheduler.pending_messages() > 0
     }
 
-    /// Whether a just-admitted (src, dst) message is trivially the next
-    /// grant: it is the *only* queued demand and both its ports are free,
-    /// so a scheduling round at `now` must grant exactly it. Multi-switch
+    /// Whether a just-admitted (src, dst) message makes the next grant
+    /// trivial: the only queued message is on that pair (the admitted one,
+    /// or the pair head it waits behind) and both its ports are free, so
+    /// a scheduling round at `now` must grant exactly it. Multi-switch
     /// worlds use this to run the round inline instead of paying a poll
     /// event for an uncontended store-and-forward hop.
     pub fn sole_eligible_demand(&self, now: Time, src: u16, dst: u16) -> bool {
-        self.scheduler.pending_messages() == 1
-            && self.scheduler.src_port_free(src, now)
-            && self.scheduler.dst_port_free(dst, now)
+        self.scheduler.pending_messages() == 1 && self.scheduler.servable_at(now, src, dst) == now
     }
 
     /// High-water mark of the message slab: the most messages ever
@@ -521,17 +529,18 @@ impl SwitchDomain {
         src as usize * self.ports + dst as usize
     }
 
-    /// Offers one message's demand. Returns `true` if the demand was
-    /// admitted to the scheduler (the caller should poll at `now`);
-    /// `false` means it joined the per-pair backlog.
-    pub fn offer(&mut self, now: Time, offer: DomainOffer) -> bool {
+    /// Offers one message's demand. Returns the instant its port pair can
+    /// be granted (the caller should poll then) if the demand was
+    /// admitted to the scheduler; `None` means it joined the per-pair
+    /// backlog.
+    pub fn offer(&mut self, now: Time, offer: DomainOffer) -> Option<Time> {
         // Host message-queue FIFO: a new message may not overtake older
         // same-pair messages already waiting in the backlog.
         let pi = self.pair_idx(offer.src, offer.dst);
         if self.pair_meta[pi] as u32 > 0 {
             self.pair_meta[pi] += 1;
             self.backlog.push_back(offer);
-            false
+            None
         } else {
             self.notify_one(now, offer)
         }
@@ -575,8 +584,9 @@ impl SwitchDomain {
     }
 
     /// Announces one unbatched message to the scheduler (the common,
-    /// allocation-free path). Returns `true` on admission.
-    fn notify_one(&mut self, now: Time, offer: DomainOffer) -> bool {
+    /// allocation-free path). Returns the pair's servable instant on
+    /// admission.
+    fn notify_one(&mut self, now: Time, offer: DomainOffer) -> Option<Time> {
         let pi = self.pair_idx(offer.src, offer.dst);
         let msg_id = (self.pair_meta[pi] >> 32) as u8;
         match self.scheduler.notify_with_limit(
@@ -593,21 +603,21 @@ impl SwitchDomain {
                         bytes: offer.bytes,
                     },
                 );
-                true
+                Some(self.scheduler.servable_at(now, offer.src, offer.dst))
             }
             Err(NotifyError::PairLimitReached { .. }) => {
                 // Sender rate-limiting: retry when a grant frees a slot.
                 self.pair_meta[pi] += 1;
                 self.backlog.push_back(offer);
-                false
+                None
             }
             Err(e) => panic!("unexpected notify error: {e}"),
         }
     }
 
     /// Announces one mega message carrying several batched same-pair
-    /// offers (§3.1.2). Returns `true` on admission.
-    fn notify_batch(&mut self, now: Time, offers: Vec<DomainOffer>) -> bool {
+    /// offers (§3.1.2). Returns the pair's servable instant on admission.
+    fn notify_batch(&mut self, now: Time, offers: Vec<DomainOffer>) -> Option<Time> {
         debug_assert!(offers.len() > 1);
         let (s, d, limit) = (offers[0].src, offers[0].dst, offers[0].limit);
         let mut tokens = Vec::with_capacity(offers.len());
@@ -627,12 +637,12 @@ impl SwitchDomain {
         {
             Ok(()) => {
                 self.push_msg(pi, msg_id, MsgBody::Batch { tokens, prefix });
-                true
+                Some(self.scheduler.servable_at(now, s, d))
             }
             Err(NotifyError::PairLimitReached { .. }) => {
                 self.pair_meta[pi] += offers.len() as u64;
                 self.backlog.extend(offers);
-                false
+                None
             }
             Err(e) => panic!("unexpected notify error: {e}"),
         }
@@ -641,16 +651,14 @@ impl SwitchDomain {
     /// Admits backlogged offers after a pair slot frees: one offer, or —
     /// with batching — every backlogged offer of the same (pair, batch
     /// key) folded into a single mega message (bounded by the 16-bit size
-    /// field, §3.1.4).
-    fn admit_from_backlog(&mut self, now: Time) {
-        let Some(first) = self.backlog.pop_front() else {
-            return;
-        };
+    /// field, §3.1.4). Returns the admitted pair's servable instant, if
+    /// the scheduler took the message.
+    fn admit_from_backlog(&mut self, now: Time) -> Option<Time> {
+        let first = self.backlog.pop_front()?;
         let pi = self.pair_idx(first.src, first.dst);
         self.pair_meta[pi] -= 1;
         if !self.batch_small {
-            self.notify_one(now, first);
-            return;
+            return self.notify_one(now, first);
         }
         let key = (first.src, first.dst, first.batch_key);
         let mut total = first.bytes;
@@ -668,9 +676,9 @@ impl SwitchDomain {
         });
         self.pair_meta[pi] -= (batch.len() - 1) as u64;
         if batch.len() == 1 {
-            self.notify_one(now, first);
+            self.notify_one(now, first)
         } else {
-            self.notify_batch(now, batch);
+            self.notify_batch(now, batch)
         }
     }
 
@@ -710,7 +718,15 @@ impl SwitchDomain {
     /// Runs one scheduling round, resolving each grant to its in-flight
     /// message slot. Returns the grants, the round's matching latency,
     /// and the next wake-up (pass to [`SwitchDomain::note_poll_wanted`]).
+    ///
+    /// The round serves a poll requested for `now`: a round run inline,
+    /// without a poll event, leaves that event to be dropped as stale
+    /// when it fires, since after a maximal matching nothing is servable
+    /// at `now` until a new offer asks for it again.
     pub fn poll(&mut self, now: Time) -> (&[DomainGrant], Duration, Option<Time>) {
+        if self.poll_at == Some(now) {
+            self.poll_at = None;
+        }
         let mut result = std::mem::take(&mut self.poll_scratch);
         self.scheduler.poll_into(now, &mut result);
         self.grants_scratch.clear();
@@ -752,8 +768,11 @@ impl SwitchDomain {
     /// Records a granted chunk's arrival at its next element. Sub-offers
     /// of a mega message complete in FIFO order as their cumulative bytes
     /// arrive; `on_complete(token, bytes)` fires once per completed offer.
-    /// Returns `true` when the message finished (a pair slot freed and
-    /// backlogged demand was admitted — the caller should poll at `now`).
+    /// When the message finishes, its pair slot frees and the oldest
+    /// backlogged offer is retried; if the scheduler admits it, the
+    /// admitted pair's servable instant is returned (the caller should
+    /// poll then). Otherwise the scheduler's state is unchanged and
+    /// `None` is returned.
     ///
     /// Completion is *byte-counted*, not flagged by the final grant:
     /// background-IP jitter can land a small final chunk before its
@@ -767,7 +786,7 @@ impl SwitchDomain {
         slot: u32,
         bytes: u32,
         mut on_complete: impl FnMut(u64, u32),
-    ) -> bool {
+    ) -> Option<Time> {
         let st = &mut self.targets[slot as usize];
         st.delivered += bytes;
         if st.cancelled {
@@ -777,7 +796,7 @@ impl SwitchDomain {
             if st.delivered >= st.granted {
                 self.free_slots.push(slot);
             }
-            return false;
+            return None;
         }
         let total = match &st.body {
             MsgBody::Single {
@@ -809,10 +828,9 @@ impl SwitchDomain {
             // backlog admission below may reuse it immediately), and the
             // freed pair slot admits backlogged demand.
             self.free_slots.push(slot);
-            self.admit_from_backlog(now);
-            true
+            self.admit_from_backlog(now)
         } else {
-            false
+            None
         }
     }
 
@@ -1057,8 +1075,10 @@ impl<F: FnMut(u32, FlowOutcome), I: Iterator<Item = Flow>> World for EdmWorld<F,
                     batch_key: 0,
                     token: token as u64,
                 };
-                if self.domain.offer(now, offer) && self.domain.note_poll_wanted(now) {
-                    q.schedule_ordered(now, evord::poll(0), EdmEv::Poll);
+                if let Some(t) = self.domain.offer(now, offer) {
+                    if self.domain.note_poll_wanted(t) {
+                        q.schedule_ordered(t, evord::poll(0), EdmEv::Poll);
+                    }
                 }
             }
             EdmEv::Poll => {
@@ -1101,7 +1121,7 @@ impl<F: FnMut(u32, FlowOutcome), I: Iterator<Item = Flow>> World for EdmWorld<F,
                     sink,
                     ..
                 } = self;
-                let want_poll = domain.deliver(now, slot, bytes, |token, _bytes| {
+                let poll_at = domain.deliver(now, slot, bytes, |token, _bytes| {
                     // Retire the flow: emit its outcome, return its slot.
                     let entry = active[token as usize]
                         .take()
@@ -1117,8 +1137,10 @@ impl<F: FnMut(u32, FlowOutcome), I: Iterator<Item = Flow>> World for EdmWorld<F,
                         },
                     );
                 });
-                if want_poll && self.domain.has_demand() && self.domain.note_poll_wanted(now) {
-                    q.schedule_ordered(now, evord::poll(0), EdmEv::Poll);
+                if let Some(t) = poll_at {
+                    if self.domain.note_poll_wanted(t) {
+                        q.schedule_ordered(t, evord::poll(0), EdmEv::Poll);
+                    }
                 }
             }
         }
@@ -1424,8 +1446,12 @@ mod tests {
     #[test]
     fn domain_cancel_withdraws_backlogged_and_admitted_demand() {
         let mut dom = SwitchDomain::new(edm_sched::SchedulerConfig::default_for_ports(4), false);
-        assert!(dom.offer(Time::ZERO, pair_offer(1, 1000)));
-        assert!(!dom.offer(Time::ZERO, pair_offer(2, 500)), "X=1 backlogs");
+        assert_eq!(dom.offer(Time::ZERO, pair_offer(1, 1000)), Some(Time::ZERO));
+        assert_eq!(
+            dom.offer(Time::ZERO, pair_offer(2, 500)),
+            None,
+            "X=1 backlogs"
+        );
         // The backlogged offer drops without ever being notified.
         assert!(dom.cancel(Time::ZERO, 0, 1, 2));
         // The admitted offer's scheduler message is withdrawn.
@@ -1437,8 +1463,8 @@ mod tests {
     #[test]
     fn domain_cancel_admits_the_backlog_like_a_completion() {
         let mut dom = SwitchDomain::new(edm_sched::SchedulerConfig::default_for_ports(4), false);
-        assert!(dom.offer(Time::ZERO, pair_offer(1, 1000)));
-        assert!(!dom.offer(Time::ZERO, pair_offer(2, 500)));
+        assert_eq!(dom.offer(Time::ZERO, pair_offer(1, 1000)), Some(Time::ZERO));
+        assert_eq!(dom.offer(Time::ZERO, pair_offer(2, 500)), None);
         assert!(dom.cancel(Time::ZERO, 0, 1, 1));
         assert!(dom.has_demand(), "the backlogged offer takes the slot");
         let (grants, _, _) = dom.poll(Time::ZERO);
@@ -1450,17 +1476,20 @@ mod tests {
     fn domain_grant_sequence_is_monotone() {
         let mut dom = SwitchDomain::new(edm_sched::SchedulerConfig::default_for_ports(8), false);
         for i in 0..3u64 {
-            assert!(dom.offer(
-                Time::ZERO,
-                DomainOffer {
-                    src: 2 * i as u16,
-                    dst: 2 * i as u16 + 1,
-                    bytes: 64,
-                    limit: 3,
-                    batch_key: i,
-                    token: i,
-                }
-            ));
+            assert_eq!(
+                dom.offer(
+                    Time::ZERO,
+                    DomainOffer {
+                        src: 2 * i as u16,
+                        dst: 2 * i as u16 + 1,
+                        bytes: 64,
+                        limit: 3,
+                        batch_key: i,
+                        token: i,
+                    }
+                ),
+                Some(Time::ZERO)
+            );
         }
         let (grants, _, _) = dom.poll(Time::ZERO);
         let gseqs: Vec<u64> = grants.iter().map(|g| g.gseq).collect();
@@ -1528,9 +1557,115 @@ mod tests {
     }
 
     #[test]
+    fn offer_on_a_busy_edge_polls_when_the_edge_frees() {
+        let mut dom = SwitchDomain::new(edm_sched::SchedulerConfig::default_for_ports(4), false);
+        assert_eq!(dom.offer(Time::ZERO, pair_offer(1, 1000)), Some(Time::ZERO));
+        let (grants, _, next) = dom.poll(Time::ZERO);
+        let busy_until = Time::ZERO + Bandwidth::from_gbps(100).tx_time_bytes(256);
+        assert_eq!(grants.len(), 1);
+        assert_eq!(next, Some(busy_until), "the remainder waits on its ports");
+        // A second message of the busy pair, offered mid-chunk.
+        let same_pair = DomainOffer {
+            limit: 3,
+            ..pair_offer(4, 64)
+        };
+        assert_eq!(dom.offer(Time::from_ns(5), same_pair), Some(busy_until));
+        // A pair sharing the busy source port, offered mid-chunk, is
+        // servable when that port frees — not at the offer instant.
+        let shared_src = DomainOffer {
+            src: 0,
+            dst: 2,
+            bytes: 64,
+            limit: 3,
+            batch_key: 2,
+            token: 2,
+        };
+        assert_eq!(dom.offer(Time::from_ns(5), shared_src), Some(busy_until));
+        // A pair on two free ports is servable at once.
+        let free = DomainOffer {
+            src: 2,
+            dst: 3,
+            token: 3,
+            batch_key: 3,
+            ..shared_src
+        };
+        assert_eq!(dom.offer(Time::from_ns(5), free), Some(Time::from_ns(5)));
+    }
+
+    #[test]
+    fn inline_round_serves_the_poll_due_at_its_instant() {
+        let mut dom = SwitchDomain::new(edm_sched::SchedulerConfig::default_for_ports(4), false);
+        let at = dom.offer(Time::ZERO, pair_offer(1, 64)).unwrap();
+        assert!(dom.note_poll_wanted(at), "the caller queues a poll event");
+        // A round run without that event (a cut-through) grants first.
+        assert_eq!(dom.poll(Time::ZERO).0.len(), 1);
+        assert!(!dom.poll_due(Time::ZERO), "the queued event is now stale");
+        // A later same-instant offer reuses the queued event.
+        let mut dom = SwitchDomain::new(edm_sched::SchedulerConfig::default_for_ports(4), false);
+        let at = dom.offer(Time::ZERO, pair_offer(1, 64)).unwrap();
+        dom.note_poll_wanted(at);
+        dom.poll(Time::ZERO);
+        let other = DomainOffer {
+            src: 2,
+            dst: 3,
+            ..pair_offer(2, 64)
+        };
+        let at = dom.offer(Time::ZERO, other).unwrap();
+        assert!(!dom.note_poll_wanted(at), "recycles the queued event");
+        assert!(dom.poll_due(Time::ZERO));
+    }
+
+    #[test]
+    fn completion_without_backlog_requests_no_poll() {
+        let mut dom = SwitchDomain::new(edm_sched::SchedulerConfig::default_for_ports(4), false);
+        assert_eq!(dom.offer(Time::ZERO, pair_offer(1, 100)), Some(Time::ZERO));
+        let (grants, _, next) = dom.poll(Time::ZERO);
+        let g = grants[0];
+        assert_eq!(next, None);
+        let mut done = Vec::new();
+        let poll_at = dom.deliver(Time::from_ns(100), g.slot, g.chunk_bytes, |t, b| {
+            done.push((t, b))
+        });
+        assert_eq!(done, vec![(1, 100)], "the message completed");
+        assert_eq!(poll_at, None, "nothing new for the scheduler");
+    }
+
+    #[test]
+    fn completion_admitting_a_backlogged_offer_polls_when_its_edge_frees() {
+        let mut dom = SwitchDomain::new(edm_sched::SchedulerConfig::default_for_ports(4), false);
+        assert_eq!(dom.offer(Time::ZERO, pair_offer(1, 100)), Some(Time::ZERO));
+        assert_eq!(
+            dom.offer(Time::ZERO, pair_offer(2, 500)),
+            None,
+            "X=1 backlogs"
+        );
+        let (grants, _, next) = dom.poll(Time::ZERO);
+        let g = grants[0];
+        assert_eq!(next, None, "the backlogged offer is not yet demand");
+        let busy_until = Time::ZERO + Bandwidth::from_gbps(100).tx_time_bytes(100);
+        // Completing before the chunk's ports free: poll when they do.
+        let poll_at = dom.deliver(Time::from_ns(2), g.slot, g.chunk_bytes, |_, _| {});
+        assert!(Time::from_ns(2) < busy_until);
+        assert_eq!(poll_at, Some(busy_until));
+        let (grants, _, _) = dom.poll(busy_until);
+        assert_eq!(grants.len(), 1);
+        assert_eq!(grants[0].token, 2);
+        // Completing after they free: poll at once.
+        let mut dom = SwitchDomain::new(edm_sched::SchedulerConfig::default_for_ports(4), false);
+        dom.offer(Time::ZERO, pair_offer(1, 100));
+        dom.offer(Time::ZERO, pair_offer(2, 500));
+        let g = dom.poll(Time::ZERO).0[0];
+        let late = Time::from_ns(100);
+        assert_eq!(
+            dom.deliver(late, g.slot, g.chunk_bytes, |_, _| {}),
+            Some(late)
+        );
+    }
+
+    #[test]
     fn domain_slots_recycle_after_completion_and_cancel() {
         let mut dom = SwitchDomain::new(edm_sched::SchedulerConfig::default_for_ports(4), false);
-        assert!(dom.offer(Time::ZERO, pair_offer(1, 100)));
+        assert_eq!(dom.offer(Time::ZERO, pair_offer(1, 100)), Some(Time::ZERO));
         assert_eq!(dom.msg_slots_live(), 1);
         // Deliver the full message in one chunk: slot retires.
         let (grants, _, _) = dom.poll(Time::ZERO);
@@ -1541,7 +1676,7 @@ mod tests {
         assert_eq!(dom.msg_slots_live(), 0);
         let hwm = dom.msg_slab_high_water();
         // A second message reuses the retired slot.
-        assert!(dom.offer(Time::ZERO, pair_offer(2, 100)));
+        assert!(dom.offer(Time::ZERO, pair_offer(2, 100)).is_some());
         assert_eq!(dom.msg_slab_high_water(), hwm, "no slab growth");
         // Cancel with nothing in flight retires immediately.
         assert!(dom.cancel(Time::ZERO, 0, 1, 2));
@@ -1553,7 +1688,7 @@ mod tests {
     fn cancelled_slot_retires_only_after_inflight_chunks_land() {
         let mut dom = SwitchDomain::new(edm_sched::SchedulerConfig::default_for_ports(4), false);
         // Multi-chunk message; grant one chunk, then cancel the rest.
-        assert!(dom.offer(Time::ZERO, pair_offer(1, 1000)));
+        assert_eq!(dom.offer(Time::ZERO, pair_offer(1, 1000)), Some(Time::ZERO));
         let (grants, _, _) = dom.poll(Time::ZERO);
         assert_eq!(grants.len(), 1);
         let g = grants[0];
@@ -1561,10 +1696,10 @@ mod tests {
         assert!(dom.cancel(Time::ZERO, 0, 1, 1));
         assert_eq!(dom.msg_slots_live(), 1, "in-flight chunk pins the slot");
         // The granted chunk lands: no completion fires, the slot frees.
-        let completed = dom.deliver(Time::from_ns(100), g.slot, g.chunk_bytes, |_, _| {
+        let poll_at = dom.deliver(Time::from_ns(100), g.slot, g.chunk_bytes, |_, _| {
             panic!("cancelled message must not complete")
         });
-        assert!(!completed);
+        assert_eq!(poll_at, None);
         assert_eq!(dom.msg_slots_live(), 0);
     }
 
@@ -1572,21 +1707,28 @@ mod tests {
     fn purge_reports_resident_offers_and_cold_starts_the_domain() {
         let mut dom = SwitchDomain::new(edm_sched::SchedulerConfig::default_for_ports(4), false);
         // One scheduled multi-chunk message, one cancelled, one backlogged.
-        assert!(dom.offer(Time::ZERO, pair_offer(1, 1000)));
+        assert_eq!(dom.offer(Time::ZERO, pair_offer(1, 1000)), Some(Time::ZERO));
         let (grants, _, _) = dom.poll(Time::ZERO);
         let gseq_before = grants[0].gseq;
-        assert!(!dom.offer(Time::ZERO, pair_offer(2, 500)), "X=1 backlogs");
-        assert!(dom.offer(
-            Time::ZERO,
-            DomainOffer {
-                src: 2,
-                dst: 3,
-                bytes: 64,
-                limit: 1,
-                batch_key: 9,
-                token: 9,
-            }
-        ));
+        assert_eq!(
+            dom.offer(Time::ZERO, pair_offer(2, 500)),
+            None,
+            "X=1 backlogs"
+        );
+        assert_eq!(
+            dom.offer(
+                Time::ZERO,
+                DomainOffer {
+                    src: 2,
+                    dst: 3,
+                    bytes: 64,
+                    limit: 1,
+                    batch_key: 9,
+                    token: 9,
+                }
+            ),
+            Some(Time::ZERO)
+        );
         assert!(dom.cancel(Time::ZERO, 2, 3, 9));
         let hwm = dom.msg_slab_high_water();
         let mut dead = Vec::new();
@@ -1600,7 +1742,11 @@ mod tests {
         assert_eq!(dom.msg_slab_high_water(), hwm, "peak survives the purge");
         // The revived domain schedules fresh demand, with gseq continuing
         // past the pre-outage grants.
-        assert!(dom.offer(Time::from_ns(50), pair_offer(7, 64)));
+        assert_eq!(
+            dom.offer(Time::from_ns(50), pair_offer(7, 64)),
+            Some(Time::from_ns(50)),
+            "a cold scheduler has no busy ports"
+        );
         let (grants, _, _) = dom.poll(Time::from_ns(50));
         assert_eq!(grants[0].token, 7);
         assert!(grants[0].gseq > gseq_before, "gseq stays monotone");

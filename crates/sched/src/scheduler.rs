@@ -6,18 +6,20 @@
 //! 1. A sender announces demand ([`Scheduler::notify`]) — explicitly for
 //!    writes (`/N/` block), implicitly for reads (the RREQ itself).
 //! 2. At each [`Scheduler::poll`], the scheduler frees ports whose chunk
-//!    timers expired, runs priority PIM over all eligible demand, and
-//!    issues one [`Grant`] of up to `chunk_bytes` per matched pair.
+//!    timers expired, runs priority PIM to a maximal matching over all
+//!    eligible demand, and issues one [`Grant`] of up to `chunk_bytes`
+//!    per matched pair.
 //! 3. A granted port pair is *busy* for exactly `chunk/B` — the paper's
 //!    step (7): releasing after the chunk's transmission time (not its
-//!    arrival) keeps the pipe full despite propagation delay.
+//!    arrival) keeps the pipe full despite propagation delay. The round
+//!    reports the earliest instant at which some queued pair has both
+//!    ports free again ([`PollResult::next_wakeup`]), so a caller polls
+//!    only when a grant is possible, not at every busy-timer expiry.
 //! 4. When a message's remaining bytes reach zero it leaves the queue.
 
 use crate::ordered_list::OrderedList;
 use crate::pim::{self, PimConfig, PimRunner};
 use edm_sim::{Bandwidth, Duration, Time};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Scheduling priority policy (§3.1.1, property 4).
@@ -182,8 +184,13 @@ pub struct PollResult {
     pub pim_iterations: usize,
     /// The matching latency this poll would take in hardware.
     pub sched_latency: Duration,
-    /// Earliest future time at which polling again can make progress
-    /// (next busy-timer expiry), if demand remains.
+    /// Earliest instant at which polling again can grant, if demand
+    /// remains: the minimum, over the queued pairs PIM can see (the
+    /// first `PIM_ROW_DEPTH` = 64 entries of each destination's queue),
+    /// of the later of the pair's two busy-until times. Until the next
+    /// notify or cancel, no round before this instant grants, and the
+    /// round at it does. Always after the polled instant: the matching
+    /// is maximal, so every visible pair has a busy port.
     pub next_wakeup: Option<Time>,
 }
 
@@ -228,10 +235,6 @@ pub struct Scheduler {
     dest_active_pos: Vec<u32>,
     /// Running count of queued messages (= Σ queue lengths).
     pending: usize,
-    /// Busy-timer expiries of issued grants (src and dst share one entry);
-    /// stale entries are discarded lazily. Replaces the O(2·ports)
-    /// `next_wakeup` scan.
-    busy_expiry: BinaryHeap<Reverse<Time>>,
     /// Scratch: destinations eligible for PIM this round.
     pim_dests: Vec<usize>,
     /// Scratch: matched pairs from the last PIM run.
@@ -293,7 +296,6 @@ impl Scheduler {
             active_dests: Vec::new(),
             dest_active_pos: vec![NOT_ACTIVE; config.ports],
             pending: 0,
-            busy_expiry: BinaryHeap::new(),
             pim_dests: Vec::new(),
             pairs_scratch: Vec::new(),
             config,
@@ -328,14 +330,13 @@ impl Scheduler {
         (self.pair_adm[self.pair_idx(src, dest)] as u32) as usize
     }
 
-    /// Whether a port's TX (source role) is free at `now`.
-    pub fn src_port_free(&self, port: u16, now: Time) -> bool {
-        self.src_busy_until[port as usize] <= now
-    }
-
-    /// Whether a port's RX (destination role) is free at `now`.
-    pub fn dst_port_free(&self, port: u16, now: Time) -> bool {
-        self.dst_busy_until[port as usize] <= now
+    /// The instant from which a (src, dest) pair can be granted: the
+    /// later of `now` and its two ports' busy-until times. After an
+    /// admitted notify, a caller polls at this instant, or at an earlier
+    /// wake-up it already holds.
+    pub fn servable_at(&self, now: Time, src: u16, dest: u16) -> Time {
+        now.max(self.src_busy_until[src as usize])
+            .max(self.dst_busy_until[dest as usize])
     }
 
     fn pair_idx(&self, src: u16, dest: u16) -> usize {
@@ -641,7 +642,6 @@ impl Scheduler {
             let until = now + busy;
             self.src_busy_until[s] = until;
             self.dst_busy_until[d] = until;
-            self.busy_expiry.push(Reverse(until));
             self.grants_issued += 1;
             self.bytes_granted += l as u64;
             out.grants.push(Grant {
@@ -655,24 +655,38 @@ impl Scheduler {
         }
         self.pairs_scratch = pairs;
 
-        // Next wakeup: earliest busy expiry strictly after now, but only if
-        // demand remains. Expired entries are discarded lazily; an entry
-        // still in the future always equals its port's live busy-until,
-        // because a port is only re-granted after its previous expiry.
-        while let Some(&Reverse(t)) = self.busy_expiry.peek() {
-            if t <= now {
-                self.busy_expiry.pop();
-            } else {
-                break;
-            }
+        out.next_wakeup = self.next_servable();
+        if let Some(t) = out.next_wakeup {
+            assert!(t > now, "a maximal matching leaves no servable pair");
         }
-        out.next_wakeup = if self.pending > 0 {
-            self.busy_expiry.peek().map(|&Reverse(t)| t)
-        } else {
-            None
-        };
         out.pim_iterations = outcome.iterations;
         out.sched_latency = Duration::from_ps(outcome.cycles * self.config.clock.as_ps());
+    }
+
+    /// The earliest instant at which a pair PIM can see has both ports
+    /// free ([`PollResult::next_wakeup`]), or `None` without demand. One
+    /// scan of the active destinations: a row is skipped when its RX
+    /// port frees no earlier than the best so far, and stops at the
+    /// first source free by the time its RX port is.
+    fn next_servable(&self) -> Option<Time> {
+        let mut best: Option<Time> = None;
+        for &d in &self.active_dests {
+            let d = d as usize;
+            let dst_free = self.dst_busy_until[d];
+            if best.is_some_and(|b| dst_free >= b) {
+                continue;
+            }
+            for (_, m) in self.queues[d].iter().take(PIM_ROW_DEPTH) {
+                let t = self.src_busy_until[m.src as usize].max(dst_free);
+                if best.is_none_or(|b| t < b) {
+                    best = Some(t);
+                }
+                if t == dst_free {
+                    break;
+                }
+            }
+        }
+        best
     }
 
     /// The average-case matching latency for this configuration (§3.1.3).

@@ -1,14 +1,16 @@
 //! Property-based tests for the scheduler: the ordered list behaves like
 //! a reference sorted model, PIM always emits valid maximal matchings,
 //! the grant engine conserves bytes and never double-books a port, pairs
-//! stay FIFO, and the demand-sparse `poll` is equivalent to a dense
-//! reference implementation on randomized notify/poll scripts.
+//! stay FIFO, the demand-sparse `poll` is equivalent to a dense
+//! reference implementation on randomized notify/poll scripts, and
+//! polling only at the reported wake-ups grants exactly what polling at
+//! every busy-timer expiry grants.
 
-use edm_sched::scheduler::{Notification, Policy, Scheduler, SchedulerConfig};
+use edm_sched::scheduler::{Grant, Notification, Policy, Scheduler, SchedulerConfig};
 use edm_sched::{OrderedList, PimConfig, PimRunner};
 use edm_sim::{Bandwidth, Time};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 /// The pre-sparse scheduler, kept as an executable specification: dense
 /// O(ports) scans per poll, per-poll allocations, `HashMap` pair state.
@@ -206,16 +208,19 @@ mod reference {
                     issued_at: now,
                 });
             }
-            let next_wakeup = if self.pending_messages() > 0 {
-                self.src_busy_until
-                    .iter()
-                    .chain(self.dst_busy_until.iter())
-                    .filter(|&&t| t > now)
-                    .min()
-                    .copied()
-            } else {
-                None
-            };
+            // Earliest instant a pair PIM can see (the first
+            // PIM_ROW_DEPTH entries of any queue) has both ports free.
+            let next_wakeup = self
+                .queues
+                .iter()
+                .enumerate()
+                .flat_map(|(d, q)| {
+                    q.iter()
+                        .take(PIM_ROW_DEPTH)
+                        .map(move |(_, m)| (m.src as usize, d))
+                })
+                .map(|(s, d)| self.src_busy_until[s].max(self.dst_busy_until[d]))
+                .min();
             PollResult {
                 grants,
                 pim_iterations: iterations,
@@ -224,6 +229,107 @@ mod reference {
             }
         }
     }
+}
+
+/// A notify script: `(gap before it in ns, src, dst, size)`, with
+/// `src != dst` forced when it is resolved.
+type Script = [(u64, u16, u16, u32)];
+
+/// Resolves a script entry into its arrival time and notification.
+fn script_notifications(ports: usize, script: &Script) -> Vec<(Time, Notification)> {
+    let mut now = Time::ZERO;
+    let mut msg_id = 0u8;
+    script
+        .iter()
+        .map(|&(dt, src, dst, size)| {
+            now += edm_sim::Duration::from_ns(dt);
+            let src = src % ports as u16;
+            let dst = dst % ports as u16;
+            let dst = if src == dst {
+                (dst + 1) % ports as u16
+            } else {
+                dst
+            };
+            msg_id = msg_id.wrapping_add(1);
+            (now, Notification::new(src, dst, msg_id, size))
+        })
+        .collect()
+}
+
+/// Drives a scheduler the pre-exact way: a round after every instant's
+/// notifies and at every busy-timer expiry. Returns every grant.
+fn grants_polling_every_expiry(
+    cfg: SchedulerConfig,
+    script: &[(Time, Notification)],
+) -> Vec<Grant> {
+    let mut s = Scheduler::new(cfg);
+    let mut expiries = BTreeSet::new();
+    let mut grants = Vec::new();
+    let mut i = 0;
+    loop {
+        let next_notify = script.get(i).map(|&(at, _)| at);
+        let next_expiry = expiries.first().copied();
+        let Some(now) = next_notify.into_iter().chain(next_expiry).min() else {
+            break;
+        };
+        // Same-instant notifies all land before the round, as demand
+        // events order before polls in the simulator.
+        while let Some(&(at, n)) = script.get(i).filter(|&&(at, _)| at == now) {
+            let _ = s.notify(at, n);
+            i += 1;
+        }
+        expiries.retain(|&t| t > now);
+        let r = s.poll(now);
+        for g in &r.grants {
+            expiries.insert(now + cfg.link.tx_time_bytes(g.chunk_bytes as u64));
+        }
+        grants.extend(r.grants);
+    }
+    assert_eq!(
+        s.pending_messages(),
+        0,
+        "expiry polling drains every message"
+    );
+    grants
+}
+
+/// Drives a scheduler by the exact rule: a round only at the reported
+/// `next_wakeup` and at a freshly notified pair's `servable_at`. Returns
+/// every grant and whether every round granted.
+fn grants_polling_exact_wakeups(
+    cfg: SchedulerConfig,
+    script: &[(Time, Notification)],
+) -> (Vec<Grant>, bool) {
+    let mut s = Scheduler::new(cfg);
+    let mut poll_at: Option<Time> = None;
+    let mut grants = Vec::new();
+    let mut every_round_grants = true;
+    let mut i = 0;
+    loop {
+        let next_notify = script.get(i).map(|&(at, _)| at);
+        let Some(now) = next_notify.into_iter().chain(poll_at).min() else {
+            break;
+        };
+        if next_notify == Some(now) {
+            let (_, n) = script[i];
+            i += 1;
+            if s.notify(now, n).is_ok() {
+                let at = s.servable_at(now, n.src, n.dest);
+                poll_at = Some(poll_at.map_or(at, |t| t.min(at)));
+            }
+            continue;
+        }
+        let r = s.poll(now);
+        every_round_grants &= !r.grants.is_empty();
+        poll_at = r.next_wakeup;
+        grants.extend(r.grants);
+    }
+    assert_eq!(
+        s.pending_messages(),
+        0,
+        "exact polling drains every message"
+    );
+    (grants, every_round_grants)
 }
 
 proptest! {
@@ -400,6 +506,37 @@ proptest! {
             prop_assert!(rounds < 100_000, "drain did not converge");
         }
         prop_assert_eq!(sparse.pending_messages(), 0);
+    }
+
+    /// Polling only when a grant is possible loses nothing: a scheduler
+    /// polled at its `next_wakeup` and at `servable_at` after each admitted
+    /// notify issues exactly the grants (`issued_at` included) of one
+    /// polled at every busy-timer expiry and after every notify, and every
+    /// one of its rounds grants.
+    #[test]
+    fn exact_wakeups_match_polling_at_every_expiry(
+        ports in 2usize..12,
+        script in proptest::collection::vec(
+            (0u64..60, 0u16..12, 0u16..12, 1u32..2048),
+            1..100,
+        ),
+        chunk in prop::sample::select(vec![64u32, 256]),
+        srpt in any::<bool>(),
+        x in 1usize..4,
+    ) {
+        let cfg = SchedulerConfig {
+            ports,
+            chunk_bytes: chunk,
+            link: Bandwidth::from_gbps(100),
+            policy: if srpt { Policy::Srpt } else { Policy::Fcfs },
+            max_active_per_pair: x,
+            clock: edm_sched::ASIC_CLOCK,
+        };
+        let script = script_notifications(ports, &script);
+        let expected = grants_polling_every_expiry(cfg, &script);
+        let (exact, every_round_grants) = grants_polling_exact_wakeups(cfg, &script);
+        prop_assert_eq!(exact, expected);
+        prop_assert!(every_round_grants, "a round at an exact wake-up granted nothing");
     }
 
     /// Within one (src, dest) pair, messages are granted strictly in

@@ -1358,6 +1358,16 @@ where
     /// its chunk-flight event (split into settle + mailed arrive when the
     /// next hop lives in another shard). Shared by the Poll event handler
     /// and the uncontended-hop cut-through path.
+    ///
+    /// Polls are requested only for instants at which a round can grant
+    /// (the domain's offer/deliver instants and the previous round's
+    /// wake-up), and a cut-through round retires a poll already due at
+    /// its instant, so fault-free runs have no empty rounds. Two cases
+    /// still produce one: a fault path's cancellation, which polls at
+    /// `now` and can leave a wake-up for the withdrawn message behind;
+    /// and a destination queue deeper than the scheduler's PIM row,
+    /// where a notification can land out of view or push a visible pair
+    /// out of it. Either costs one idle round, never a grant.
     fn run_poll(&mut self, switch: u32, now: Time, q: &mut EventQueue<TopoEv>) {
         let TopoWorld {
             domains,
@@ -1533,7 +1543,7 @@ where
         let dom = domains[from_switch as usize]
             .as_mut()
             .expect("settle at an owned switch");
-        let want_poll = dom.deliver(now, slot, bytes, |tok, sub_bytes| {
+        let poll_at = dom.deliver(now, slot, bytes, |tok, sub_bytes| {
             let (cfi, cep) = unpack(tok);
             // Every completed sub-offer releases the residency reference
             // it held — stale epochs drain as blackholed bandwidth but
@@ -1589,14 +1599,16 @@ where
                 retired.push(cfi);
             }
         });
-        if want_poll && dom.has_demand() && dom.note_poll_wanted(now) {
-            q.schedule_ordered(
-                now,
-                evord::poll(from_switch as u16),
-                TopoEv::Poll {
-                    switch: from_switch,
-                },
-            );
+        if let Some(t) = poll_at {
+            if dom.note_poll_wanted(t) {
+                q.schedule_ordered(
+                    t,
+                    evord::poll(from_switch as u16),
+                    TopoEv::Poll {
+                        switch: from_switch,
+                    },
+                );
+            }
         }
         if !self.app_done_buf.is_empty() {
             let done = std::mem::take(&mut self.app_done_buf);
@@ -1650,7 +1662,7 @@ where
         let dom = self.domains[sw2 as usize]
             .as_mut()
             .expect("arrive at an owned switch");
-        if dom.offer(now, offer) {
+        if let Some(t) = dom.offer(now, offer) {
             // Uncontended store-and-forward hop: the chunk is the
             // switch's only demand and its ports are free, so the
             // round's outcome is forced — run it inline instead of
@@ -1658,8 +1670,8 @@ where
             // 1-switch bit-identity.)
             if dom.sole_eligible_demand(now, h.in_port, h.out_port) {
                 self.run_poll(sw2, now, q);
-            } else if dom.note_poll_wanted(now) {
-                q.schedule_ordered(now, evord::poll(sw2 as u16), TopoEv::Poll { switch: sw2 });
+            } else if dom.note_poll_wanted(t) {
+                q.schedule_ordered(t, evord::poll(sw2 as u16), TopoEv::Poll { switch: sw2 });
             }
         }
     }
@@ -1796,12 +1808,14 @@ where
                 let dom = self.domains[h0.switch as usize]
                     .as_mut()
                     .expect("demand at an owned switch");
-                if dom.offer(now, offer) && dom.note_poll_wanted(now) {
-                    q.schedule_ordered(
-                        now,
-                        evord::poll(h0.switch as u16),
-                        TopoEv::Poll { switch: h0.switch },
-                    );
+                if let Some(t) = dom.offer(now, offer) {
+                    if dom.note_poll_wanted(t) {
+                        q.schedule_ordered(
+                            t,
+                            evord::poll(h0.switch as u16),
+                            TopoEv::Poll { switch: h0.switch },
+                        );
+                    }
                 }
             }
             TopoEv::Poll { switch } => {
