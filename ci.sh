@@ -45,7 +45,7 @@ run_bench_json() {
 
 # Reduced-scale streaming-lifecycle smoke: 100k flows through the
 # 288-node leaf-spine must complete under a hard RSS ceiling (the full
-# 1M run peaks near 10 MB; 256 MB is an order-of-magnitude leak guard).
+# 1M run peaks near 9 MB; 256 MB is an order-of-magnitude leak guard).
 # The second run replays the same scale through a mid-run spine flap, so
 # the flatness and RSS gates also cover the fault path.
 run_million_flows_smoke() {
@@ -130,6 +130,22 @@ run_prop_suites() {
     return $failed
 }
 
+# The scheduler and switch-domain property suites once more, at a fresh
+# run seed, so every gate explores cases no earlier gate ran. A failure
+# reproduces with the printed seed: PROPTEST_SEED=<seed> cargo test ...
+# The vendored proptest's own tests (seed mixing, failure messages) run
+# first; it is not a default workspace member.
+run_fresh_seed_props() {
+    cargo test -q -p proptest > /dev/null
+    local seed
+    seed=$(date +%s%N)
+    echo "    PROPTEST_SEED=$seed"
+    PROPTEST_SEED="$seed" PROPTEST_CASES="$PROPTEST_CASES" \
+        cargo test -q --release -p edm-sched --test prop_sched
+    PROPTEST_SEED="$seed" PROPTEST_CASES="$PROPTEST_CASES" \
+        cargo test -q --release -p edm-core --test prop_core
+}
+
 # The repository benchmark is its own workspace (`perfbench/`); its test
 # drives the `TopoEdm` entry points the benchmark calls, so a change to
 # them fails here and not only in the benchmark pipeline.
@@ -167,6 +183,8 @@ step "app_sweep smoke: closed-loop YCSB, EDM vs CXL-oE envelope (2 shards)" \
 step "perfbench builds and passes its own test" run_perfbench_test
 step "property suites at ${PROPTEST_CASES:=1024} cases (concurrent per crate)" \
     run_prop_suites
+step "proptest self-test; prop_sched + prop_core at a fresh PROPTEST_SEED" \
+    run_fresh_seed_props
 
 echo
 echo "ci.sh step timing:"

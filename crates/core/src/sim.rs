@@ -373,16 +373,10 @@ struct MsgState {
     /// cancelled message's slot can be reclaimed (no grants outstanding).
     granted: u32,
     next_sub: u32,
-    /// Scheduler msg_id this message was notified under (sanity checks).
-    msg_id: u8,
     /// Whether the ungranted remainder was withdrawn ([`SwitchDomain::cancel`]).
     /// A cancelled message never completes; its slot frees once every
     /// already-granted chunk has landed.
     cancelled: bool,
-    /// Next in-flight message of the same pair — the pair's grant FIFO as
-    /// an intrusive list through the slab (slot index + 1; 0 = last).
-    /// The zero sentinel keeps the per-pair slabs calloc-cheap.
-    next_in_pair: u32,
 }
 
 impl MsgState {
@@ -401,17 +395,11 @@ impl MsgState {
     }
 }
 
-/// Per-pair in-flight FIFO endpoints, packed head (low 32) / tail
-/// (high 32) into one word (`targets` index + 1; 0 = empty). Grants
-/// within a pair are strictly FIFO (§3.1.1 property 5), so the head *is*
-/// the granted message. `vec![0u64]` stays a calloc: untouched pairs
-/// cost nothing at any port count.
-type PairFifo = u64;
-
 /// One EDM switch's scheduling state as seen by an event-driven world: a
 /// demand-sparse [`Scheduler`] plus the bookkeeping that maps its grants
-/// back to simulation-level messages — per-pair in-flight FIFOs, the
-/// X-limit backlog with §3.1.2 mega-batching, msg-id allocation, and
+/// back to simulation-level messages — a message slab whose slot each
+/// notification carries as its scheduler tag (so a grant names its
+/// message directly), the X-limit backlog with §3.1.2 mega-batching, and
 /// poll-event deduplication.
 ///
 /// The domain is event-queue agnostic: methods return the instant, if
@@ -433,11 +421,11 @@ pub struct SwitchDomain {
     ports: usize,
     batch_small: bool,
     scheduler: Scheduler,
-    /// Per-pair in-flight FIFO words, keyed by flat pair index.
-    pair_fifo: Vec<PairFifo>,
-    /// Per-pair backlog count (low 32, O(1) same-pair waiter checks) and
-    /// msg-id allocator (bits 32..40, wraps at 256).
-    pair_meta: Vec<u64>,
+    /// Per-pair count of offers in `backlog`, keyed by flat pair index
+    /// (O(1) same-pair waiter checks). Read only while `backlog` is
+    /// non-empty.
+    pair_backlog: Vec<u32>,
+    /// Message slab, indexed by the tag each message was notified with.
     targets: Vec<MsgState>,
     /// Retired message slots awaiting reuse (LIFO). Slots return here when
     /// a message completes or a cancelled message's last in-flight chunk
@@ -470,13 +458,11 @@ pub struct SwitchDomain {
 impl SwitchDomain {
     /// Creates a domain for one switch.
     pub fn new(config: SchedulerConfig, batch_small_messages: bool) -> Self {
-        let pairs = config.ports * config.ports;
         SwitchDomain {
             ports: config.ports,
             batch_small: batch_small_messages,
             scheduler: Scheduler::new(config),
-            pair_fifo: vec![0; pairs],
-            pair_meta: vec![0; pairs],
+            pair_backlog: vec![0; config.ports * config.ports],
             targets: Vec::new(),
             free_slots: Vec::new(),
             backlog: std::collections::VecDeque::new(),
@@ -536,50 +522,42 @@ impl SwitchDomain {
     pub fn offer(&mut self, now: Time, offer: DomainOffer) -> Option<Time> {
         // Host message-queue FIFO: a new message may not overtake older
         // same-pair messages already waiting in the backlog.
-        let pi = self.pair_idx(offer.src, offer.dst);
-        if self.pair_meta[pi] as u32 > 0 {
-            self.pair_meta[pi] += 1;
-            self.backlog.push_back(offer);
-            None
-        } else {
-            self.notify_one(now, offer)
+        if !self.backlog.is_empty() {
+            let pi = self.pair_idx(offer.src, offer.dst);
+            if self.pair_backlog[pi] > 0 {
+                self.pair_backlog[pi] += 1;
+                self.backlog.push_back(offer);
+                return None;
+            }
+        }
+        self.notify_one(now, offer)
+    }
+
+    /// The slab slot the next admitted message will occupy: the tag its
+    /// notification carries.
+    fn next_slot(&self) -> u32 {
+        match self.free_slots.last() {
+            Some(&free) => free,
+            None => self.targets.len() as u32,
         }
     }
 
-    /// Links a freshly admitted message into its pair's grant FIFO,
-    /// reusing a retired slot when one is free.
-    fn push_msg(&mut self, pi: usize, msg_id: u8, body: MsgBody) {
-        let meta = self.pair_meta[pi];
-        self.pair_meta[pi] = (meta & !0xFF_0000_0000) | (msg_id.wrapping_add(1) as u64) << 32;
+    /// Stores a freshly admitted message in the slot [`Self::next_slot`]
+    /// named.
+    fn push_msg(&mut self, body: MsgBody) {
         let state = MsgState {
             body,
             delivered: 0,
             granted: 0,
             next_sub: 0,
-            msg_id,
             cancelled: false,
-            next_in_pair: 0,
         };
-        // Slot index + 1 encoding, as in the pair FIFO words.
-        let slot = match self.free_slots.pop() {
-            Some(free) => {
-                self.targets[free as usize] = state;
-                free + 1
-            }
+        match self.free_slots.pop() {
+            Some(free) => self.targets[free as usize] = state,
             None => {
                 self.targets.push(state);
                 self.slab_hwm = self.slab_hwm.max(self.targets.len());
-                self.targets.len() as u32
             }
-        };
-        // Append to the pair's grant FIFO.
-        let fifo = self.pair_fifo[pi];
-        let (head, tail) = (fifo as u32, (fifo >> 32) as u32);
-        if head == 0 {
-            self.pair_fifo[pi] = slot as u64 | (slot as u64) << 32;
-        } else {
-            self.targets[(tail - 1) as usize].next_in_pair = slot;
-            self.pair_fifo[pi] = head as u64 | (slot as u64) << 32;
         }
     }
 
@@ -587,27 +565,19 @@ impl SwitchDomain {
     /// allocation-free path). Returns the pair's servable instant on
     /// admission.
     fn notify_one(&mut self, now: Time, offer: DomainOffer) -> Option<Time> {
-        let pi = self.pair_idx(offer.src, offer.dst);
-        let msg_id = (self.pair_meta[pi] >> 32) as u8;
-        match self.scheduler.notify_with_limit(
-            now,
-            Notification::new(offer.src, offer.dst, msg_id, offer.bytes),
-            offer.limit,
-        ) {
+        let n = Notification::new(offer.src, offer.dst, 0, offer.bytes).with_tag(self.next_slot());
+        match self.scheduler.notify_with_limit(now, n, offer.limit) {
             Ok(()) => {
-                self.push_msg(
-                    pi,
-                    msg_id,
-                    MsgBody::Single {
-                        token: offer.token,
-                        bytes: offer.bytes,
-                    },
-                );
+                self.push_msg(MsgBody::Single {
+                    token: offer.token,
+                    bytes: offer.bytes,
+                });
                 Some(self.scheduler.servable_at(now, offer.src, offer.dst))
             }
             Err(NotifyError::PairLimitReached { .. }) => {
                 // Sender rate-limiting: retry when a grant frees a slot.
-                self.pair_meta[pi] += 1;
+                let pi = self.pair_idx(offer.src, offer.dst);
+                self.pair_backlog[pi] += 1;
                 self.backlog.push_back(offer);
                 None
             }
@@ -616,8 +586,9 @@ impl SwitchDomain {
     }
 
     /// Announces one mega message carrying several batched same-pair
-    /// offers (§3.1.2). Returns the pair's servable instant on admission.
-    fn notify_batch(&mut self, now: Time, offers: Vec<DomainOffer>) -> Option<Time> {
+    /// offers (§3.1.2) to a pair with a free slot. Returns the pair's
+    /// servable instant.
+    fn notify_batch(&mut self, now: Time, offers: Vec<DomainOffer>) -> Time {
         debug_assert!(offers.len() > 1);
         let (s, d, limit) = (offers[0].src, offers[0].dst, offers[0].limit);
         let mut tokens = Vec::with_capacity(offers.len());
@@ -629,23 +600,12 @@ impl SwitchDomain {
             prefix.push(total);
             tokens.push(o.token);
         }
-        let pi = self.pair_idx(s, d);
-        let msg_id = (self.pair_meta[pi] >> 32) as u8;
-        match self
-            .scheduler
-            .notify_with_limit(now, Notification::new(s, d, msg_id, total), limit)
-        {
-            Ok(()) => {
-                self.push_msg(pi, msg_id, MsgBody::Batch { tokens, prefix });
-                Some(self.scheduler.servable_at(now, s, d))
-            }
-            Err(NotifyError::PairLimitReached { .. }) => {
-                self.pair_meta[pi] += offers.len() as u64;
-                self.backlog.extend(offers);
-                None
-            }
-            Err(e) => panic!("unexpected notify error: {e}"),
+        let n = Notification::new(s, d, 0, total).with_tag(self.next_slot());
+        if let Err(e) = self.scheduler.notify_with_limit(now, n, limit) {
+            panic!("the pair's free slot was checked: {e}");
         }
+        self.push_msg(MsgBody::Batch { tokens, prefix });
+        self.scheduler.servable_at(now, s, d)
     }
 
     /// Admits backlogged offers after a pair slot frees: one offer, or —
@@ -653,10 +613,18 @@ impl SwitchDomain {
     /// key) folded into a single mega message (bounded by the 16-bit size
     /// field, §3.1.4). Returns the admitted pair's servable instant, if
     /// the scheduler took the message.
+    ///
+    /// Only the oldest offer is a candidate, and it stays put while its
+    /// own pair is still full: requeueing it would let its younger
+    /// same-pair offers overtake it.
     fn admit_from_backlog(&mut self, now: Time) -> Option<Time> {
-        let first = self.backlog.pop_front()?;
+        let first = *self.backlog.front()?;
+        if self.scheduler.active_for_pair(first.src, first.dst) >= first.limit {
+            return None;
+        }
+        self.backlog.pop_front();
         let pi = self.pair_idx(first.src, first.dst);
-        self.pair_meta[pi] -= 1;
+        self.pair_backlog[pi] -= 1;
         if !self.batch_small {
             return self.notify_one(now, first);
         }
@@ -674,11 +642,11 @@ impl SwitchDomain {
                 true
             }
         });
-        self.pair_meta[pi] -= (batch.len() - 1) as u64;
+        self.pair_backlog[pi] -= (batch.len() - 1) as u32;
         if batch.len() == 1 {
             self.notify_one(now, first)
         } else {
-            self.notify_batch(now, batch)
+            Some(self.notify_batch(now, batch))
         }
     }
 
@@ -715,8 +683,8 @@ impl SwitchDomain {
         }
     }
 
-    /// Runs one scheduling round, resolving each grant to its in-flight
-    /// message slot. Returns the grants, the round's matching latency,
+    /// Runs one scheduling round, resolving each grant to its message
+    /// slot (the grant's tag). Returns the grants, the round's matching latency,
     /// and the next wake-up (pass to [`SwitchDomain::note_poll_wanted`]).
     ///
     /// The round serves a poll requested for `now`: a round run inline,
@@ -731,31 +699,18 @@ impl SwitchDomain {
         self.scheduler.poll_into(now, &mut result);
         self.grants_scratch.clear();
         for g in &result.grants {
-            // Grants within a pair are FIFO, so the granted message is
-            // the head of the pair's in-flight list.
-            let pi = self.pair_idx(g.src, g.dest);
-            let fifo = self.pair_fifo[pi];
-            let head = fifo as u32;
-            debug_assert_ne!(head, 0, "grant for unknown message");
-            let slot = (head - 1) as usize;
-            debug_assert_eq!(self.targets[slot].msg_id, g.msg_id);
-            if g.is_final() {
-                let next = self.targets[slot].next_in_pair;
-                self.pair_fifo[pi] = if next == 0 {
-                    0
-                } else {
-                    next as u64 | (fifo & 0xFFFF_FFFF_0000_0000)
-                };
-            }
-            self.targets[slot].granted += g.chunk_bytes;
+            let slot = g.tag;
+            let st = &mut self.targets[slot as usize];
+            debug_assert!(!st.cancelled, "grant for a cancelled message");
+            st.granted += g.chunk_bytes;
             let gseq = self.grant_seq;
             self.grant_seq += 1;
             self.grants_scratch.push(DomainGrant {
-                slot: slot as u32,
+                slot,
                 src: g.src,
                 dst: g.dest,
                 chunk_bytes: g.chunk_bytes,
-                token: self.targets[slot].first_token(),
+                token: st.first_token(),
                 gseq,
             });
         }
@@ -838,9 +793,8 @@ impl SwitchDomain {
     /// token): sender-side demand revocation after a failure reroute.
     ///
     /// Finds the offer wherever it queues — the per-pair X backlog (never
-    /// notified: simply dropped) or the pair's in-flight FIFO (its
-    /// [`edm_sched::Scheduler`] message is cancelled and the FIFO entry
-    /// unlinked). Chunks already granted stay in flight; their delivery
+    /// notified: simply dropped) or the scheduler (its message, found by
+    /// slot tag, is cancelled there). Chunks already granted stay in flight; their delivery
     /// bookkeeping still runs, but the message can no longer complete, so
     /// no completion callback ever fires for it. Freeing the admission
     /// slot admits backlogged demand, exactly like a completion — the
@@ -851,63 +805,46 @@ impl SwitchDomain {
     /// (the notification covers the whole batch); those keep the
     /// documented stale-demand pessimism and `false` is returned.
     pub fn cancel(&mut self, now: Time, src: u16, dst: u16, token: u64) -> bool {
-        let pi = self.pair_idx(src, dst);
         // Still in the X backlog: never notified, just drop it.
-        if self.pair_meta[pi] as u32 > 0 {
+        let pi = self.pair_idx(src, dst);
+        if !self.backlog.is_empty() && self.pair_backlog[pi] > 0 {
             let before = self.backlog.len();
             self.backlog
                 .retain(|o| !(o.src == src && o.dst == dst && o.token == token));
-            let removed = (before - self.backlog.len()) as u64;
+            let removed = (before - self.backlog.len()) as u32;
             if removed > 0 {
-                self.pair_meta[pi] -= removed;
+                self.pair_backlog[pi] -= removed;
                 return true;
             }
         }
-        // Admitted: walk the pair's in-flight FIFO for the unbatched
-        // message carrying this token.
-        let fifo = self.pair_fifo[pi];
-        let (head, tail) = (fifo as u32, (fifo >> 32) as u32);
-        let mut prev: u32 = 0;
-        let mut cur = head;
-        while cur != 0 {
-            let slot = (cur - 1) as usize;
-            let next = self.targets[slot].next_in_pair;
-            let hit = matches!(
-                self.targets[slot].body,
+        // Admitted: cancel the pair's unbatched message carrying this
+        // token in the scheduler, which names it by slot tag.
+        let targets = &self.targets;
+        let mut hit = None;
+        self.scheduler.cancel_where(src, dst, |_, tag| {
+            let found = matches!(
+                targets[tag as usize].body,
                 MsgBody::Single { token: t, .. } if t == token
             );
-            if hit {
-                let outcome = self.scheduler.cancel(src, dst, self.targets[slot].msg_id);
-                debug_assert!(
-                    matches!(outcome, edm_sched::CancelOutcome::Cancelled { .. }),
-                    "a pair-FIFO member is always queued or waiting"
-                );
-                let new_head = if prev == 0 { next } else { head };
-                let new_tail = if cur == tail { prev } else { tail };
-                self.pair_fifo[pi] = if new_head == 0 {
-                    0
-                } else {
-                    new_head as u64 | (new_tail as u64) << 32
-                };
-                if prev != 0 {
-                    self.targets[(prev - 1) as usize].next_in_pair = next;
-                }
-                // The message can no longer complete; retire its slot now
-                // if nothing is in flight, else when the last granted
-                // chunk lands ([`SwitchDomain::deliver`]).
-                let st = &mut self.targets[slot];
-                st.cancelled = true;
-                if st.delivered >= st.granted {
-                    self.free_slots.push(slot as u32);
-                }
-                // The admission slot freed: admit backlogged demand.
-                self.admit_from_backlog(now);
-                return true;
+            if found {
+                hit = Some(tag);
             }
-            prev = cur;
-            cur = next;
+            found
+        });
+        let Some(slot) = hit else {
+            return false;
+        };
+        // The message can no longer complete; retire its slot now if
+        // nothing is in flight, else when the last granted chunk lands
+        // ([`SwitchDomain::deliver`]).
+        let st = &mut self.targets[slot as usize];
+        st.cancelled = true;
+        if st.delivered >= st.granted {
+            self.free_slots.push(slot);
         }
-        false
+        // The admission slot freed: admit backlogged demand.
+        self.admit_from_backlog(now);
+        true
     }
 
     /// Hard-resets the domain after its switch dies, appending to `dead`
@@ -918,7 +855,7 @@ impl SwitchDomain {
     /// were already released at cancellation).
     ///
     /// The revived switch comes back like a power-cycled ASIC: cold
-    /// scheduler, empty FIFOs and backlog, no pending polls. Only the
+    /// scheduler, empty slab and backlog, no pending polls. Only the
     /// grant-sequence counter and the slab high-water mark survive — the
     /// former so post-revival [`evord::chunk`] keys can never collide
     /// with chunks granted before the outage, the latter so memory-bound
@@ -949,8 +886,7 @@ impl SwitchDomain {
             }
         }
         self.scheduler = Scheduler::new(*self.scheduler.config());
-        self.pair_fifo.iter_mut().for_each(|w| *w = 0);
-        self.pair_meta.iter_mut().for_each(|w| *w = 0);
+        self.pair_backlog.iter_mut().for_each(|w| *w = 0);
         self.targets.clear();
         self.free_slots.clear();
         self.backlog.clear();
@@ -999,8 +935,8 @@ pub struct EdmStreamStats {
 /// The single-switch EDM world, generic over how results leave (`sink`,
 /// called once per completion with the flow's input position) and where
 /// arrivals come from (an optional lazy `source` pulled one flow ahead).
-/// Memory is O(active flows): a retired flow's slab slot, pair-FIFO
-/// link, and msg-id return to free lists.
+/// Memory is O(active flows): a retired flow's slab slot and its
+/// domain message slot return to free lists.
 struct EdmWorld<F, I> {
     cluster: ClusterConfig,
     domain: SwitchDomain,
@@ -1701,6 +1637,58 @@ mod tests {
         });
         assert_eq!(poll_at, None);
         assert_eq!(dom.msg_slots_live(), 0);
+    }
+
+    #[test]
+    fn cancelling_same_pair_messages_leaves_grants_on_the_survivor() {
+        let mut dom = SwitchDomain::new(edm_sched::SchedulerConfig::default_for_ports(4), false);
+        for token in 1..=3 {
+            let offer = DomainOffer {
+                limit: 3,
+                ..pair_offer(token, 600)
+            };
+            assert!(
+                dom.offer(Time::ZERO, offer).is_some(),
+                "X=3 admits all three"
+            );
+        }
+        // The head's first chunk goes out; 2 and 3 wait behind it.
+        let (grants, _, next) = dom.poll(Time::ZERO);
+        assert_eq!(grants.len(), 1);
+        let head_chunk = grants[0];
+        assert_eq!(head_chunk.token, 1);
+        // Cancel the waiting middle message, then the partly granted head.
+        assert!(dom.cancel(Time::ZERO, 0, 1, 2));
+        assert!(dom.cancel(Time::ZERO, 0, 1, 1));
+        assert!(!dom.cancel(Time::ZERO, 0, 1, 2), "already withdrawn");
+        assert_eq!(dom.msg_slots_live(), 2, "the head's chunk pins its slot");
+        // Every remaining grant resolves to message 3.
+        let mut done = Vec::new();
+        dom.deliver(
+            Time::ZERO,
+            head_chunk.slot,
+            head_chunk.chunk_bytes,
+            |t, b| done.push((t, b)),
+        );
+        let mut now = next.expect("message 3 is queued");
+        let mut granted = 0;
+        loop {
+            let (grants, _, next) = dom.poll(now);
+            let grants = grants.to_vec();
+            for g in grants {
+                assert_eq!(g.token, 3);
+                granted += g.chunk_bytes;
+                dom.deliver(now, g.slot, g.chunk_bytes, |t, b| done.push((t, b)));
+            }
+            match next {
+                Some(t) => now = t,
+                None => break,
+            }
+        }
+        assert_eq!(granted, 600);
+        assert_eq!(done, vec![(3, 600)], "only the survivor completes");
+        assert_eq!(dom.msg_slots_live(), 0);
+        assert!(!dom.has_demand());
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! Life of a message through the scheduler:
 //!
 //! 1. A sender announces demand ([`Scheduler::notify`]) — explicitly for
-//!    writes (`/N/` block), implicitly for reads (the RREQ itself).
+//!    writes (`/N/` block), implicitly for reads (the RREQ itself). The
+//!    notification may carry an opaque caller tag
+//!    ([`Notification::with_tag`]) that every grant of the message echoes,
+//!    so a caller resolves a grant to its own state without a lookup.
 //! 2. At each [`Scheduler::poll`], the scheduler frees ports whose chunk
 //!    timers expired, runs priority PIM to a maximal matching over all
 //!    eligible demand, and issues one [`Grant`] of up to `chunk_bytes`
@@ -35,7 +38,8 @@ pub enum Policy {
     Srpt,
 }
 
-/// A demand notification: source port, destination port, message id, size.
+/// A demand notification: source port, destination port, message id,
+/// size, and an opaque caller tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Notification {
     /// Source switch port.
@@ -46,17 +50,26 @@ pub struct Notification {
     pub msg_id: u8,
     /// Message size in bytes.
     pub size_bytes: u32,
+    /// Opaque caller tag, echoed by every [`Grant`] of this message. The
+    /// scheduler never interprets it.
+    pub tag: u32,
 }
 
 impl Notification {
-    /// Creates a notification.
+    /// Creates a notification with tag 0.
     pub fn new(src: u16, dest: u16, msg_id: u8, size_bytes: u32) -> Self {
         Notification {
             src,
             dest,
             msg_id,
             size_bytes,
+            tag: 0,
         }
+    }
+
+    /// Sets the caller tag its grants will carry.
+    pub fn with_tag(self, tag: u32) -> Self {
+        Notification { tag, ..self }
     }
 }
 
@@ -70,6 +83,8 @@ pub struct Grant {
     pub dest: u16,
     /// Message id of the granted message.
     pub msg_id: u8,
+    /// Caller tag of the granted message ([`Notification::tag`]).
+    pub tag: u32,
     /// Granted bytes (≤ configured chunk size).
     pub chunk_bytes: u32,
     /// Bytes remaining in the message *after* this chunk.
@@ -171,6 +186,7 @@ impl SchedulerConfig {
 struct QueuedMsg {
     src: u16,
     msg_id: u8,
+    tag: u32,
     remaining: u32,
     notified_at: Time,
 }
@@ -203,14 +219,15 @@ pub struct Scheduler {
     src_busy_until: Vec<Time>,
     /// Per-port RX busy-until (destination role; host downlink).
     dst_busy_until: Vec<Time>,
-    /// Per-pair admission state, packed into one word per pair: bits
-    /// 0..32 the active-notification count (X bound), bit 32 whether the
-    /// pair's head message is in a notification queue (in-order delivery,
-    /// §3.1.1 property 5). `vec![0u64]` stays a calloc, so untouched
-    /// pairs cost nothing at any port count.
-    pair_adm: Vec<u64>,
+    /// Per-pair active-notification count (X bound). A pair's messages
+    /// are granted in order (§3.1.1 property 5): with a non-zero count its
+    /// head is in the destination's notification queue and the other
+    /// `count - 1` wait in `pair_wait`. `vec![0u32]` stays a calloc, so
+    /// untouched pairs cost nothing at any port count.
+    pair_adm: Vec<u32>,
     /// Per-pair waiting-FIFO endpoints, packed head (low 32) / tail
-    /// (high 32), both wait-slab index + 1 with 0 = empty.
+    /// (high 32), both wait-slab index + 1 with 0 = empty. Read only when
+    /// the pair's count says waiters exist.
     pair_wait: Vec<u64>,
     /// Same-pair messages waiting behind their head, linked per pair.
     wait_slab: Vec<WaitNode>,
@@ -243,9 +260,6 @@ pub struct Scheduler {
 
 /// Sentinel for "destination not in the active list".
 const NOT_ACTIVE: u32 = u32::MAX;
-
-/// Bit 32 of a `pair_adm` word: the pair's head message is queued.
-const HEAD_IN_QUEUE: u64 = 1 << 32;
 
 /// A same-pair message waiting behind its pair's queued head.
 #[derive(Debug, Clone, Copy)]
@@ -327,7 +341,7 @@ impl Scheduler {
 
     /// Active notifications for a (src, dest) pair.
     pub fn active_for_pair(&self, src: u16, dest: u16) -> usize {
-        (self.pair_adm[self.pair_idx(src, dest)] as u32) as usize
+        self.pair_adm[self.pair_idx(src, dest)] as usize
     }
 
     /// The instant from which a (src, dest) pair can be granted: the
@@ -385,13 +399,13 @@ impl Scheduler {
         }
     }
 
-    /// Pops the oldest waiting message of a pair, if any.
-    fn pop_waiting(&mut self, pair: usize) -> Option<QueuedMsg> {
+    /// Moves the oldest waiting message of a pair into `dest`'s
+    /// notification queue. The caller knows from the pair's count that a
+    /// waiter exists.
+    fn promote_waiter(&mut self, pair: usize, dest: usize) {
         let w = self.pair_wait[pair];
         let head = w as u32;
-        if head == 0 {
-            return None;
-        }
+        debug_assert_ne!(head, 0, "the pair count promised a waiter");
         let i = (head - 1) as usize;
         let node = self.wait_slab[i];
         self.pair_wait[pair] = if node.next == 0 {
@@ -401,7 +415,9 @@ impl Scheduler {
         };
         self.wait_slab[i].next = self.wait_free;
         self.wait_free = head;
-        Some(node.msg)
+        let key = self.priority_key(&node.msg);
+        self.queues[dest].insert(key, node.msg);
+        self.pending += 1;
     }
 
     /// Drops a destination from the active list once its queue drains.
@@ -455,21 +471,22 @@ impl Scheduler {
             return Err(NotifyError::EmptyMessage);
         }
         let idx = self.pair_idx(n.src, n.dest);
-        if (self.pair_adm[idx] as u32) as usize >= limit {
+        let active = self.pair_adm[idx];
+        if active as usize >= limit {
             return Err(NotifyError::PairLimitReached { limit });
         }
-        self.pair_adm[idx] += 1;
+        self.pair_adm[idx] = active + 1;
         let msg = QueuedMsg {
             src: n.src,
             msg_id: n.msg_id,
+            tag: n.tag,
             remaining: n.size_bytes,
             notified_at: now,
         };
-        if self.pair_adm[idx] & HEAD_IN_QUEUE != 0 {
+        if active > 0 {
             // In-order within a pair: wait behind the current head.
             self.push_waiting(idx, msg);
         } else {
-            self.pair_adm[idx] |= HEAD_IN_QUEUE;
             let key = self.priority_key(&msg);
             self.queue_insert(n.dest as usize, key, msg);
         }
@@ -492,33 +509,44 @@ impl Scheduler {
     /// Returns [`CancelOutcome::NotQueued`] when no matching message is
     /// queued or waiting — it was fully granted or never notified.
     pub fn cancel(&mut self, src: u16, dest: u16, msg_id: u8) -> CancelOutcome {
+        self.cancel_where(src, dest, |id, _| id == msg_id)
+    }
+
+    /// [`Scheduler::cancel`] for the first of the pair's queued or waiting
+    /// messages, in grant order, for which `hit(msg_id, tag)` holds.
+    pub fn cancel_where(
+        &mut self,
+        src: u16,
+        dest: u16,
+        mut hit: impl FnMut(u8, u32) -> bool,
+    ) -> CancelOutcome {
         if src as usize >= self.config.ports || dest as usize >= self.config.ports {
             return CancelOutcome::NotQueued;
         }
         let idx = self.pair_idx(src, dest);
         let d = dest as usize;
-        // Only the pair's head message can be in the notification queue.
-        if self.pair_adm[idx] & HEAD_IN_QUEUE != 0 {
-            if let Some((_, msg)) =
-                self.queues[d].remove_first(|m| m.src == src && m.msg_id == msg_id)
-            {
-                self.row_dirty[d] = true;
-                self.pending -= 1;
-                self.pair_adm[idx] -= 1;
-                // Promote the pair's next waiter (same as a completion).
-                match self.pop_waiting(idx) {
-                    Some(next) => {
-                        let key = self.priority_key(&next);
-                        self.queues[d].insert(key, next);
-                        self.pending += 1;
-                    }
-                    None => self.pair_adm[idx] &= !HEAD_IN_QUEUE,
-                }
-                self.deactivate_if_empty(d);
-                return CancelOutcome::Cancelled {
-                    remaining: msg.remaining,
-                };
+        let active = self.pair_adm[idx];
+        if active == 0 {
+            return CancelOutcome::NotQueued;
+        }
+        // Only the pair's head message is in the notification queue.
+        if let Some((_, msg)) =
+            self.queues[d].remove_first(|m| m.src == src && hit(m.msg_id, m.tag))
+        {
+            self.row_dirty[d] = true;
+            self.pending -= 1;
+            self.pair_adm[idx] = active - 1;
+            // Promote the pair's next waiter (same as a completion).
+            if active > 1 {
+                self.promote_waiter(idx, d);
             }
+            self.deactivate_if_empty(d);
+            return CancelOutcome::Cancelled {
+                remaining: msg.remaining,
+            };
+        }
+        if active == 1 {
+            return CancelOutcome::NotQueued;
         }
         // Not the head: search the pair's waiting FIFO.
         let w = self.pair_wait[idx];
@@ -528,7 +556,7 @@ impl Scheduler {
         while cur != 0 {
             let i = (cur - 1) as usize;
             let node = self.wait_slab[i];
-            if node.msg.src == src && node.msg.msg_id == msg_id {
+            if hit(node.msg.msg_id, node.msg.tag) {
                 // Unlink from the pair FIFO and recycle the slab node.
                 if prev == 0 {
                     self.pair_wait[idx] = if node.next == 0 {
@@ -543,7 +571,7 @@ impl Scheduler {
                 }
                 self.wait_slab[i].next = self.wait_free;
                 self.wait_free = cur;
-                self.pair_adm[idx] -= 1;
+                self.pair_adm[idx] = active - 1;
                 return CancelOutcome::Cancelled {
                     remaining: node.msg.remaining,
                 };
@@ -627,13 +655,8 @@ impl Scheduler {
                 let idx = self.pair_idx(msg.src, d as u16);
                 self.pair_adm[idx] -= 1;
                 // The head finished: promote the pair's next message.
-                match self.pop_waiting(idx) {
-                    Some(next) => {
-                        let key = self.priority_key(&next);
-                        self.queues[d].insert(key, next);
-                        self.pending += 1;
-                    }
-                    None => self.pair_adm[idx] &= !HEAD_IN_QUEUE,
+                if self.pair_adm[idx] > 0 {
+                    self.promote_waiter(idx, d);
                 }
             }
             self.deactivate_if_empty(d);
@@ -648,6 +671,7 @@ impl Scheduler {
                 src: s as u16,
                 dest: d as u16,
                 msg_id: msg.msg_id,
+                tag: msg.tag,
                 chunk_bytes: l,
                 remaining_after,
                 issued_at: now,

@@ -2,15 +2,17 @@
 //! a reference sorted model, PIM always emits valid maximal matchings,
 //! the grant engine conserves bytes and never double-books a port, pairs
 //! stay FIFO, the demand-sparse `poll` is equivalent to a dense
-//! reference implementation on randomized notify/poll scripts, and
-//! polling only at the reported wake-ups grants exactly what polling at
-//! every busy-timer expiry grants.
+//! reference implementation on randomized notify/poll scripts, polling
+//! only at the reported wake-ups grants exactly what polling at every
+//! busy-timer expiry grants, and every grant carries its message's tag.
 
-use edm_sched::scheduler::{Grant, Notification, Policy, Scheduler, SchedulerConfig};
+use edm_sched::scheduler::{
+    CancelOutcome, Grant, Notification, Policy, Scheduler, SchedulerConfig,
+};
 use edm_sched::{OrderedList, PimConfig, PimRunner};
 use edm_sim::{Bandwidth, Time};
 use proptest::prelude::*;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 /// The pre-sparse scheduler, kept as an executable specification: dense
 /// O(ports) scans per poll, per-poll allocations, `HashMap` pair state.
@@ -93,6 +95,7 @@ mod reference {
     struct QueuedMsg {
         src: u16,
         msg_id: u8,
+        tag: u32,
         remaining: u32,
         notified_at: Time,
     }
@@ -142,6 +145,7 @@ mod reference {
             let msg = QueuedMsg {
                 src: n.src,
                 msg_id: n.msg_id,
+                tag: n.tag,
                 remaining: n.size_bytes,
                 notified_at: now,
             };
@@ -203,6 +207,7 @@ mod reference {
                     src: s as u16,
                     dest: d as u16,
                     msg_id: msg.msg_id,
+                    tag: msg.tag,
                     chunk_bytes: l,
                     remaining_after,
                     issued_at: now,
@@ -472,6 +477,7 @@ proptest! {
         let mut dense = reference::DenseScheduler::new(cfg);
         let mut now = Time::ZERO;
         let mut msg_id = 0u8;
+        let mut tag = 0u32;
         for &(is_poll, src, dst, size, dt) in &script {
             now += edm_sim::Duration::from_ns(dt);
             if is_poll {
@@ -485,8 +491,9 @@ proptest! {
                 let src = src % ports as u16;
                 let dst = dst % ports as u16;
                 let dst = if src == dst { (dst + 1) % ports as u16 } else { dst };
-                let n = Notification::new(src, dst, msg_id, size);
+                let n = Notification::new(src, dst, msg_id, size).with_tag(tag);
                 msg_id = msg_id.wrapping_add(1);
+                tag += 1;
                 prop_assert_eq!(sparse.notify(now, n), dense.notify(now, n));
             }
             prop_assert_eq!(sparse.pending_messages(), dense.pending_messages());
@@ -622,5 +629,121 @@ proptest! {
         }
         // A different pair is unaffected.
         prop_assert!(s.notify(Time::ZERO, Notification::new(2, 3, 0, 64)).is_ok());
+    }
+
+    /// Every grant carries the tag its message was notified with. All
+    /// messages share one msg_id, so only the tag tells same-pair
+    /// messages apart: the model tracks each pair's admitted tags in
+    /// notification order (head, then waiters), and a grant on a pair
+    /// must name its head. Cancels by tag hit the head or a waiter, and
+    /// a cancelled tag is never granted again.
+    #[test]
+    fn grant_tags_follow_their_message(
+        x in 1usize..4,
+        srpt in any::<bool>(),
+        script in proptest::collection::vec(
+            (0u8..3, 0u16..3, 0u16..3, 1u32..700, 0u64..40),
+            1..120,
+        ),
+    ) {
+        let ports = 3;
+        let cfg = SchedulerConfig {
+            ports,
+            chunk_bytes: 256,
+            link: Bandwidth::from_gbps(100),
+            policy: if srpt { Policy::Srpt } else { Policy::Fcfs },
+            max_active_per_pair: x,
+            clock: edm_sched::ASIC_CLOCK,
+        };
+        let mut s = Scheduler::new(cfg);
+        // Per pair: admitted, not fully granted tags with their
+        // remaining bytes, in grant order.
+        let mut pairs: HashMap<(u16, u16), VecDeque<(u32, u32)>> = HashMap::new();
+        let mut cancelled = HashSet::new();
+        let mut next_tag = 0u32;
+        let mut now = Time::ZERO;
+        let check = |grants: &[Grant],
+                         pairs: &mut HashMap<(u16, u16), VecDeque<(u32, u32)>>,
+                         cancelled: &HashSet<u32>|
+         -> Result<(), TestCaseError> {
+            for g in grants {
+                prop_assert!(!cancelled.contains(&g.tag), "cancelled tag {} granted", g.tag);
+                let queue = pairs.entry((g.src, g.dest)).or_default();
+                let head = queue.front_mut().expect("grant on a pair with demand");
+                prop_assert_eq!(g.tag, head.0, "grant names a message other than the head");
+                prop_assert_eq!(g.remaining_after, head.1 - g.chunk_bytes);
+                head.1 -= g.chunk_bytes;
+                if g.is_final() {
+                    queue.pop_front();
+                }
+            }
+            Ok(())
+        };
+        for &(op, src, dst, size, dt) in &script {
+            now += edm_sim::Duration::from_ns(dt);
+            let src = src % ports as u16;
+            let dst = dst % ports as u16;
+            let dst = if src == dst { (src + 1) % ports as u16 } else { dst };
+            match op {
+                0 => {
+                    let tag = next_tag;
+                    next_tag += 1;
+                    let n = Notification::new(src, dst, 0, size).with_tag(tag);
+                    let admitted = s.notify(now, n).is_ok();
+                    let queue = pairs.entry((src, dst)).or_default();
+                    prop_assert_eq!(admitted, queue.len() < x, "X bound");
+                    if admitted {
+                        queue.push_back((tag, size));
+                    }
+                }
+                1 => {
+                    // Cancel a live tag of the pair (head or waiter), or
+                    // an already finished or cancelled one.
+                    let queue = pairs.entry((src, dst)).or_default();
+                    let live = (size as usize) % (queue.len() + 1);
+                    let target = match queue.get(live) {
+                        Some(&(tag, _)) => tag,
+                        None => size % next_tag.max(1),
+                    };
+                    let outcome = s.cancel_where(src, dst, |id, tag| {
+                        assert_eq!(id, 0);
+                        tag == target
+                    });
+                    match queue.iter().position(|&(tag, _)| tag == target) {
+                        Some(i) => {
+                            let (_, remaining) = queue.remove(i).expect("present");
+                            prop_assert_eq!(outcome, CancelOutcome::Cancelled { remaining });
+                            cancelled.insert(target);
+                        }
+                        None => prop_assert_eq!(outcome, CancelOutcome::NotQueued),
+                    }
+                }
+                _ => {
+                    let r = s.poll(now);
+                    check(&r.grants, &mut pairs, &cancelled)?;
+                }
+            }
+            // Each pair's count covers its head and waiters; only heads
+            // are queued.
+            for (&(a, b), queue) in &pairs {
+                prop_assert_eq!(s.active_for_pair(a, b), queue.len(), "pair ({}, {})", a, b);
+            }
+            let heads = pairs.values().filter(|q| !q.is_empty()).count();
+            prop_assert_eq!(s.pending_messages(), heads);
+        }
+        // Drain: every surviving tag is granted to completion.
+        let mut rounds = 0;
+        loop {
+            let r = s.poll(now);
+            check(&r.grants, &mut pairs, &cancelled)?;
+            match r.next_wakeup {
+                Some(t) => now = t,
+                None => break,
+            }
+            rounds += 1;
+            prop_assert!(rounds < 100_000, "drain did not converge");
+        }
+        prop_assert!(pairs.values().all(|q| q.is_empty()), "a live tag was never granted");
+        prop_assert_eq!(s.pending_messages(), 0);
     }
 }
